@@ -1,22 +1,21 @@
-//! Spatial-sharding headline: per-tile kd/MST forests vs the global engines.
+//! Spatial-sharding prices: per-tile kd/MST forests vs one tile.  The
+//! `global` ids are [`ShardSpec::Off`]: the global static build and a
+//! one-tile dynamic index.
 //!
 //! Three comparisons, all against bit-identical outputs (the shard oracle
 //! pins exactness, this bench prices it):
 //!
 //! * `shard/static_build` — building the MST substrate from scratch,
 //!   globally vs shard-by-shard with the boundary stitch.
-//! * `shard/edit_repair` — the PR headline: one `Move` edit through the MST
-//!   substrate ([`DynamicInstance::move_sensor`]) at n = 10⁵.  The global
-//!   engine pays a full star sweep over all live sensors per attach; the
-//!   sharded engine repairs inside the owning ~10³-point tile (bounded-star
-//!   attach + lockstep reconnection).  `BENCH_10.json` records both; the
-//!   acceptance bar is sharded ≥ 5× ahead.
+//! * `shard/edit_repair` — one `Move` edit through the MST substrate
+//!   ([`DynamicInstance::move_sensor`]) at n = 10⁵.  Both grids run the same
+//!   bounded-star attach + lockstep reconnection; the sharded one keeps
+//!   index rebuilds and range queries inside ~10³-point tiles.
 //! * `shard/session_edit` — the same edit through a full
 //!   [`DynamicSolverSession`], including re-orientation, row repair and the
 //!   exact strong-connectivity re-check.  The verdict's Tarjan pass is
-//!   inherently O(n + m) and shared by both engines, so the session-level
-//!   gap is smaller than the substrate gap — recorded for honesty, see
-//!   `ARCHITECTURE.md` ("repair is local, the proof is global").
+//!   inherently O(n + m) and shared by both, so it dominates the session
+//!   edit — see `ARCHITECTURE.md` ("repair is local, the proof is global").
 
 use antennae_bench::workloads::uniform_points;
 use antennae_core::antenna::AntennaBudget;

@@ -7,6 +7,10 @@
 //! * `store/recover/1000` — cold-boot recovery of a 1000-tenant data
 //!   directory (snapshot read + WAL salvage + one coalesced replay per
 //!   tenant).  The acceptance bar is under two seconds per pass.
+//! * `store/recover_tenant/{10000,100000}` — recovery of one large tenant
+//!   from a snapshot plus a short WAL tail: one bulk build of the snapshot
+//!   (O(n log n), sharded per the default `auto` spec) and one coalesced
+//!   tail repair, so 10× the sensors should cost about 10× the time.
 //! * `store/serve_sweep_1000_tenants/{ephemeral,durable_every_n}` — the
 //!   serve bench's coalesced 1000-tenant burst sweep, ephemeral versus
 //!   `--data-dir` with the default group-commit policy.  The gap between
@@ -110,6 +114,49 @@ fn bench_recover_1k(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// Recovery of one large tenant: a snapshot of `n` uniform sensors plus a
+/// WAL tail of moves, inserts and removes.
+fn bench_recover_tenant(c: &mut Criterion) {
+    let mut group = c.benchmark_group("store/recover_tenant");
+    let phi = theorem2_spread_threshold(2);
+    for n in [10_000usize, 100_000] {
+        let root = bench_dir(&format!("recover-tenant-{n}"));
+        let config = StoreConfig {
+            sync: SyncPolicy::Never,
+            ..StoreConfig::default()
+        };
+        let store = Store::open(&root, config).expect("open store");
+        let seeds = uniform_points(n, 5);
+        let mut wal = store
+            .create_tenant("big", 2, phi, &seeds)
+            .expect("create tenant");
+        let live = seeds.iter().copied().enumerate().collect();
+        wal.compact(2, phi, n, live).expect("snapshot");
+        for e in 0..16 {
+            let p = seeds[e * 97];
+            let edit = match e % 4 {
+                0 => Edit::Insert(Point::new(p.x + 0.5, p.y + 0.25)),
+                1 => Edit::Remove(e * 97 + 1),
+                _ => Edit::Move(e * 97, Point::new(p.x + 0.3, p.y - 0.2)),
+            };
+            wal.append_edit(&edit).expect("edit");
+        }
+        wal.commit();
+        wal.sync().expect("close cleanly");
+        drop(wal);
+
+        group.bench_function(BenchmarkId::from_parameter(n), |b| {
+            b.iter(|| {
+                let recovery = store.recover().expect("recover");
+                assert_eq!(recovery.tenants.len(), 1, "{:?}", recovery.skipped);
+                black_box(recovery.tenants[0].session.instance().len())
+            })
+        });
+        let _ = std::fs::remove_dir_all(&root);
+    }
+    group.finish();
+}
+
 /// One coalesced burst sweep over every tenant (the serve bench's
 /// `coalesced_1thread` shape), returning the OK count.
 fn sweep(client: &LocalClient, names: &[String], round: usize) -> usize {
@@ -179,6 +226,7 @@ criterion_group!(
     benches,
     bench_wal_append,
     bench_recover_1k,
+    bench_recover_tenant,
     bench_sweep_ephemeral,
     bench_sweep_durable
 );

@@ -5,10 +5,13 @@
 //! module is the dynamic front door:
 //!
 //! * [`DynamicInstance`] wraps the incrementally maintained degree-5
-//!   Euclidean MST ([`antennae_graph::dynamic::DynamicEmst`]: buffered
-//!   kd-tree edits, Kruskal-merge inserts, localized Borůvka removal
-//!   repair) and materializes a regular [`Instance`] on demand — live slots
-//!   in ascending order, the maintained tree handed over without a rebuild.
+//!   Euclidean MST ([`antennae_graph::dynamic::DynamicEmst`]: a per-tile
+//!   dynamic kd forest — one tile unless sharded — bounded-star inserts,
+//!   localized Borůvka removal repair) and materializes a regular
+//!   [`Instance`] on demand — live slots in ascending order, the maintained
+//!   tree handed over without a rebuild.  Every instance, fresh or
+//!   recovered, comes from one bulk build over its live set
+//!   ([`DynamicInstance::from_entries`]).
 //! * [`DynamicSolverSession`] owns a dynamic instance plus one budget and
 //!   keeps the orientation scheme, the induced digraph and the verification
 //!   verdict continuously up to date across edits — one at a time through
@@ -25,7 +28,8 @@
 //!
 //! The correctness story mirrors the earlier engines: the dynamic path is a
 //! *different route to the same values*.  After every edit, the maintained
-//! MST has the same weight and `lmax` as a from-scratch build, the scheme
+//! MST is the from-scratch build's edge set (same weight and `lmax` even
+//! where the degree-5 exchange makes the tree history-dependent), the scheme
 //! equals a full re-orientation on the materialized instance, the digraph
 //! equals the verification engine's from-scratch construction, and the
 //! report equals a fresh [`crate::verify::verify_with_budget`] — all pinned
@@ -41,7 +45,7 @@ use crate::scheme::OrientationScheme;
 use crate::shard::ShardSpec;
 use crate::solver::{Orienter, SelectionPolicy, Solver, Theorem2Orienter};
 use crate::verify::{VerificationReport, Violation};
-use antennae_geometry::{Point, EPS};
+use antennae_geometry::{Point, TileGrid, EPS};
 use antennae_graph::dynamic::{DynamicEmst, DynamicEmstError};
 use antennae_graph::{DiGraph, TraversalScratch};
 
@@ -60,8 +64,9 @@ fn map_emst_error(e: DynamicEmstError) -> OrientError {
 }
 
 /// A sensor deployment under churn: accepts insert/remove/move edits while
-/// incrementally maintaining the kd-tree, the Euclidean MST and `lmax`, and
-/// the cached materialized [`Instance`] (with its lazily rooted tree).
+/// incrementally maintaining the spatial index, the Euclidean MST and
+/// `lmax`, and the cached materialized [`Instance`] (with its lazily rooted
+/// tree).
 ///
 /// # Examples
 ///
@@ -90,8 +95,9 @@ pub struct DynamicInstance {
 }
 
 impl DynamicInstance {
-    /// Builds a dynamic instance over an initial deployment; sensor `i` of
-    /// `points` gets id `i`.
+    /// Builds an unsharded dynamic instance over an initial deployment;
+    /// sensor `i` of `points` gets id `i` (see
+    /// [`DynamicInstance::from_entries`]).
     ///
     /// An empty `points` slice is allowed: the deployment starts with zero
     /// live sensors and grows through [`DynamicInstance::insert`] — the shape
@@ -99,57 +105,67 @@ impl DynamicInstance {
     /// first sensor arrives.  (Only [`DynamicInstance::instance`] requires a
     /// non-empty live set, because a static [`Instance`] cannot be empty.)
     pub fn new(points: &[Point]) -> Result<Self, OrientError> {
+        Self::new_sharded(points, ShardSpec::Off)
+    }
+
+    /// Builds a dynamic instance whose spatial index is sharded per `spec`
+    /// (see [`DynamicInstance::from_entries`]); sensor `i` of `points` gets
+    /// id `i`.
+    pub fn new_sharded(points: &[Point], spec: ShardSpec) -> Result<Self, OrientError> {
+        let entries: Vec<(SensorId, Point)> = points.iter().copied().enumerate().collect();
+        Self::from_entries(&entries, points.len(), spec)
+    }
+
+    /// The bulk constructor every dynamic instance comes from: the live
+    /// `(id, point)` set in strictly ascending id order, plus the `next_id`
+    /// horizon (ids below it without an entry are dead, and stay dead).
+    ///
+    /// The MST is one static build over the live set — per tile with the
+    /// exact stitch when `spec` resolves to a grid (see [`crate::shard`]),
+    /// otherwise on one tile — and it is the tree the same live set reaches
+    /// through any edit history, so crash recovery costs O(n log n).  The
+    /// grid also partitions the spatial index that edits query.  Specs that
+    /// do not resolve for this deployment ([`ShardSpec::Off`],
+    /// [`ShardSpec::Auto`] below its size threshold, degenerate bounding
+    /// boxes — including the empty deployment) mean a one-tile grid; either
+    /// way the answers are bit-identical, only their cost differs.
+    ///
+    /// Fails with [`OrientError::Internal`] when the ids are not strictly
+    /// ascending below `next_id`.
+    pub fn from_entries(
+        entries: &[(SensorId, Point)],
+        next_id: SensorId,
+        spec: ShardSpec,
+    ) -> Result<Self, OrientError> {
+        let mut prev: Option<SensorId> = None;
+        for &(id, _) in entries {
+            if id >= next_id || prev.is_some_and(|p| p >= id) {
+                return Err(OrientError::Internal(format!(
+                    "live ids must be strictly ascending below the next_id \
+                     horizon {next_id} (got {id})"
+                )));
+            }
+            prev = Some(id);
+        }
+        let live: Vec<Point> = entries.iter().map(|&(_, p)| p).collect();
+        let grid = spec.resolve(&live).unwrap_or_else(TileGrid::single);
         let emst =
-            DynamicEmst::new(points).map_err(|e| OrientError::MstConstruction(e.to_string()))?;
+            DynamicEmst::from_entries(entries, next_id, grid, crate::parallel::default_threads())
+                .map_err(|e| OrientError::MstConstruction(e.to_string()))?;
         Ok(DynamicInstance { emst, cache: None })
     }
 
-    /// Builds a dynamic instance whose spatial substrate is **sharded** per
-    /// `spec`: the initial MST comes from the parallel per-tile build with
-    /// exact boundary stitching, and subsequent edits route to the owning
-    /// tile (bounded-star attach, tile-local index maintenance) — bit-exact,
-    /// edit-for-edit, to the unsharded engine (see [`crate::shard`]).
-    ///
-    /// Specs that do not resolve for this deployment ([`ShardSpec::Off`],
-    /// [`ShardSpec::Auto`] below its size threshold, degenerate bounding
-    /// boxes — including the empty deployment) fall back to
-    /// [`DynamicInstance::new`].
-    pub fn new_sharded(points: &[Point], spec: ShardSpec) -> Result<Self, OrientError> {
-        match spec.resolve(points) {
-            None => Self::new(points),
-            Some(grid) => {
-                let (emst, _stats) =
-                    DynamicEmst::new_tiled(points, grid, crate::parallel::default_threads())
-                        .map_err(|e| OrientError::MstConstruction(e.to_string()))?;
-                Ok(DynamicInstance { emst, cache: None })
-            }
-        }
-    }
-
     /// The shard grid backing this instance as `(tiles_x, tiles_y)`, `None`
-    /// when the instance runs on the global (unsharded) engine.
+    /// when the instance is unsharded (one tile).
     pub fn shard_grid(&self) -> Option<(usize, usize)> {
-        self.emst.tile_grid().map(|g| (g.tiles_x(), g.tiles_y()))
+        let grid = self.emst.tile_grid();
+        (grid.tiles() > 1).then(|| (grid.tiles_x(), grid.tiles_y()))
     }
 
     /// Occupied (non-empty) tiles of a sharded instance, `None` when
     /// unsharded.
     pub fn shard_occupied(&self) -> Option<usize> {
-        self.emst.occupied_tiles()
-    }
-
-    /// Re-resolves `spec` against the **current** live deployment and swaps
-    /// the spatial index accordingly; returns `true` when the instance is
-    /// sharded afterwards.  The maintained tree and all ids are untouched —
-    /// both index variants answer queries bit-identically — so this is safe
-    /// at any point in an instance's life.  The deployment server applies
-    /// the configured spec here after crash recovery (replay starts from an
-    /// empty, hence global, engine).
-    pub fn apply_shard_spec(&mut self, spec: ShardSpec) -> bool {
-        let grid = spec.resolve(&self.emst.live_points());
-        let sharded = grid.is_some();
-        self.emst.set_tile_grid(grid);
-        sharded
+        self.shard_grid().map(|_| self.emst.occupied_tiles())
     }
 
     /// A dynamic instance with zero live sensors (grow it with
@@ -445,14 +461,6 @@ impl DynamicSolverSession {
         &self.inst
     }
 
-    /// Applies a shard spec to the underlying instance (see
-    /// [`DynamicInstance::apply_shard_spec`]); the session's scheme, digraph
-    /// and report are untouched because both index variants answer every
-    /// query bit-identically.  Returns `true` when sharded afterwards.
-    pub fn set_shard_spec(&mut self, spec: crate::shard::ShardSpec) -> bool {
-        self.inst.apply_shard_spec(spec)
-    }
-
     /// The materialized static instance for the current live deployment.
     pub fn materialized(&mut self) -> Result<&Instance, OrientError> {
         self.inst.instance()
@@ -662,58 +670,43 @@ impl DynamicSolverSession {
     /// Rebuilds a session from a durable image: a sparse `base` live set
     /// (original ids, strictly ascending, below the `next_id` horizon) plus
     /// a `tail` of logged-but-uncompacted edits — the shape a write-ahead
-    /// log hands recovery.
-    ///
-    /// Ids are monotone and never reused, so the sparse id space is
-    /// reconstructed on an empty session by inserting a sensor for **every**
-    /// id below the horizon (placeholders at the dead slots), removing the
-    /// placeholders, and appending the tail — all through **one**
-    /// [`DynamicSolverSession::apply_coalesced`] repair.  By the coalescing
-    /// and incremental-vs-fresh oracles (`tests/dynamic_oracle.rs`), the
-    /// result is bit-equal (`f64::to_bits` on `lmax`/MST weights, exact
-    /// scheme/digraph equality) to the session that lived through the
-    /// original edit history, whatever its batch boundaries were.
-    ///
-    /// Fails with [`OrientError::Internal`] on a malformed base, or with the
-    /// usual batch errors when the tail references ids the projected live
-    /// set does not hold (a salvaged-but-inconsistent log).
+    /// log hands recovery.  Shards per [`ShardSpec::default`]; see
+    /// [`DynamicSolverSession::replay_sharded`].
     pub fn replay(
         budget: AntennaBudget,
         base: &[(SensorId, Point)],
         next_id: SensorId,
         tail: &[Edit],
     ) -> Result<Self, OrientError> {
-        let mut prev: Option<SensorId> = None;
-        for &(id, _) in base {
-            if id >= next_id || prev.is_some_and(|p| p >= id) {
-                return Err(OrientError::Internal(format!(
-                    "replay base ids must be strictly ascending below the \
-                     next_id horizon {next_id} (got {id})"
-                )));
-            }
-            prev = Some(id);
-        }
-        let dead_count = next_id - base.len();
-        let mut edits = Vec::with_capacity(next_id + dead_count + tail.len());
-        let mut live = base.iter().peekable();
-        let mut dead: Vec<SensorId> = Vec::with_capacity(dead_count);
-        for id in 0..next_id {
-            match live.peek() {
-                Some(&&(lid, p)) if lid == id => {
-                    live.next();
-                    edits.push(Edit::Insert(p));
-                }
-                _ => {
-                    dead.push(id);
-                    edits.push(Edit::Insert(Point::new(0.0, 0.0)));
-                }
-            }
-        }
-        edits.extend(dead.into_iter().map(Edit::Remove));
-        edits.extend_from_slice(tail);
-        let mut session = DynamicSolverSession::new(DynamicInstance::empty(), budget)?;
-        if !edits.is_empty() {
-            session.apply_coalesced(&edits)?;
+        Self::replay_sharded(budget, base, next_id, tail, ShardSpec::default())
+    }
+
+    /// [`DynamicSolverSession::replay`] with an explicit shard spec: one
+    /// bulk build of `base` ([`DynamicInstance::from_entries`], O(n log n)),
+    /// a session over it, and the whole `tail` applied as **one**
+    /// [`DynamicSolverSession::apply_coalesced`] repair.  The bulk build is
+    /// the tree the base's live set reached through its history, and the
+    /// coalescing and incremental-vs-fresh oracles (`tests/dynamic_oracle.rs`)
+    /// make the result bit-equal (`f64::to_bits` on `lmax`/MST weights,
+    /// exact scheme/digraph equality) to the session that lived through the
+    /// original edit history, whatever its batch boundaries were — except
+    /// where coincident sensors force the history-dependent degree-5
+    /// exchange (see `antennae_graph::dynamic`).
+    ///
+    /// Fails with [`OrientError::Internal`] on a malformed base, or with the
+    /// usual batch errors when the tail references ids the projected live
+    /// set does not hold (a salvaged-but-inconsistent log).
+    pub fn replay_sharded(
+        budget: AntennaBudget,
+        base: &[(SensorId, Point)],
+        next_id: SensorId,
+        tail: &[Edit],
+        spec: ShardSpec,
+    ) -> Result<Self, OrientError> {
+        let inst = DynamicInstance::from_entries(base, next_id, spec)?;
+        let mut session = DynamicSolverSession::new(inst, budget)?;
+        if !tail.is_empty() {
+            session.apply_coalesced(tail)?;
         }
         Ok(session)
     }

@@ -16,16 +16,17 @@
 //!
 //! * [`ShardedInstance`] — build a static [`Instance`] shard-by-shard, with
 //!   a [`ShardReport`] describing the decomposition.
-//! * [`crate::dynamic::DynamicInstance::new_sharded`] — a deployment under
-//!   churn whose spatial index is a per-tile forest; every edit routes to
-//!   the owning tile and re-stitches only the affected boundary region,
-//!   edit-for-edit bit-identical to the unsharded engine (one edit at
-//!   `n = 10⁵` is repaired inside a ~10³-point tile instead of touching the
-//!   whole deployment).
+//! * [`crate::dynamic::DynamicInstance::new_sharded`] (and the bulk
+//!   [`crate::dynamic::DynamicInstance::from_entries`] recovery builds
+//!   with) — a deployment under churn whose spatial index is a per-tile
+//!   forest; every edit queries tile-sized indexes, edit-for-edit
+//!   bit-identical to the one-tile index (one edit at `n = 10⁵` is repaired
+//!   inside a ~10³-point tile instead of touching the whole deployment).
 //!
-//! Both paths fall back to the global engine when sharding cannot pay for
-//! itself — small inputs, degenerate (zero-area) deployments, or an
-//! explicit [`ShardSpec::Off`] — so callers never need to special-case.
+//! Both paths fall back to one tile when sharding cannot pay for itself —
+//! small inputs, degenerate (zero-area) deployments, or an explicit
+//! [`ShardSpec::Off`]: the static build is then the global engine, and the
+//! dynamic index a single kd-tree — so callers never need to special-case.
 //!
 //! # Examples
 //!
@@ -75,7 +76,7 @@ pub enum ShardSpec {
     /// Force a grid with this many tiles per axis (≥ 2), degenerate inputs
     /// permitting.
     Grid(usize),
-    /// Never shard: the global engines, exactly as before sharding existed.
+    /// Never shard: the global static engine and a one-tile dynamic index.
     Off,
 }
 
@@ -107,8 +108,8 @@ impl ShardSpec {
     }
 
     /// Resolves the spec against a concrete deployment: the tile grid to
-    /// shard with, or `None` to stay on the global engines (spec is `Off`,
-    /// the input is too small for `Auto`, or the bounding box is degenerate).
+    /// shard with, or `None` for one tile (spec is `Off`, the input is too
+    /// small for `Auto`, or the bounding box is degenerate).
     pub fn resolve(&self, points: &[Point]) -> Option<TileGrid> {
         let grid = match *self {
             ShardSpec::Off => None,
@@ -122,7 +123,7 @@ impl ShardSpec {
             }
         };
         // A single-tile grid (coincident or near-degenerate deployments)
-        // cannot shard anything; stay global.
+        // cannot shard anything.
         grid.filter(|g| g.tiles() >= 2)
     }
 }

@@ -5,7 +5,8 @@
 //! The static [`KdTree`] is immutable by design — every query in the MST and
 //! verification engines relies on its deterministic layout.  Dynamic
 //! deployments (sensors arriving, failing, moving) therefore use this
-//! wrapper: edits land in O(1) amortized (an append to the insert buffer or
+//! wrapper, one per tile of a [`crate::tiles::TiledKdForest`]: edits land
+//! in O(1) amortized (an append to the insert buffer or
 //! a tombstone flag), queries consult the snapshot *and* linearly scan the
 //! small buffer, and once the dirty fraction crosses a threshold the
 //! snapshot is rebuilt from the live set in one O(n log n) pass.
@@ -83,12 +84,6 @@ impl DynamicKdTree {
             rebuilds: 0,
             rebuild_limit: default_rebuild_limit,
         }
-    }
-
-    /// Builds the index over a dense point slice (slot `i` = index `i`).
-    pub fn from_dense(points: &[Point]) -> Self {
-        let entries: Vec<(usize, Point)> = points.iter().copied().enumerate().collect();
-        Self::new(&entries)
     }
 
     /// Number of live (inserted and not removed) entries.
@@ -186,6 +181,20 @@ impl DynamicKdTree {
         out: &mut Vec<usize>,
     ) {
         out.clear();
+        self.append_within_radius(query, radius, scratch, out);
+        out.sort_unstable();
+    }
+
+    /// Appends every live slot within `radius` of `query` to `out`,
+    /// unsorted — the per-tile step of a forest query, which sorts once
+    /// after visiting every tile.
+    pub(crate) fn append_within_radius(
+        &self,
+        query: &Point,
+        radius: f64,
+        scratch: &mut Vec<usize>,
+        out: &mut Vec<usize>,
+    ) {
         self.snapshot.within_radius_into(query, radius, scratch);
         for &pos in scratch.iter() {
             if !self.stale[pos] {
@@ -197,7 +206,6 @@ impl DynamicKdTree {
                 out.push(slot);
             }
         }
-        out.sort_unstable();
     }
 
     /// Allocating convenience wrapper over
@@ -217,11 +225,26 @@ impl DynamicKdTree {
         query: &Point,
         skip: F,
     ) -> Option<(usize, f64)> {
+        self.nearest_filtered_slot_within(query, skip, f64::INFINITY)
+    }
+
+    /// Like [`DynamicKdTree::nearest_filtered_slot`], but only reports slots
+    /// at distance `max_dist` or closer, with the static tree's inclusive
+    /// bound semantics ([`crate::kdtree::KdIndex::nearest_filtered_within`]):
+    /// `None` only ever hides strictly farther slots.
+    pub fn nearest_filtered_slot_within<F: Fn(usize) -> bool>(
+        &self,
+        query: &Point,
+        skip: F,
+        max_dist: f64,
+    ) -> Option<(usize, f64)> {
         let snapshot_best = self
             .snapshot
-            .nearest_filtered(query, |pos| {
-                self.stale[pos] || skip(self.snapshot_slots[pos])
-            })
+            .nearest_filtered_within(
+                query,
+                |pos| self.stale[pos] || skip(self.snapshot_slots[pos]),
+                max_dist,
+            )
             .map(|(pos, d)| (self.snapshot_slots[pos], d));
         let mut best = snapshot_best;
         for &(slot, p) in &self.buffer {
@@ -229,11 +252,8 @@ impl DynamicKdTree {
                 continue;
             }
             let d = query.distance(&p);
-            let better = match best {
-                None => true,
-                Some((bs, bd)) => d < bd || (d == bd && slot < bs),
-            };
-            if better {
+            let (bs, bd) = best.unwrap_or((usize::MAX, max_dist));
+            if d < bd || (d == bd && slot < bs) {
                 best = Some((slot, d));
             }
         }
@@ -335,7 +355,7 @@ mod tests {
         assert!(t.nearest_filtered_slot(&Point::ORIGIN, |_| false).is_none());
         assert!(t.within_radius(&Point::ORIGIN, 5.0).is_empty());
 
-        let mut t = DynamicKdTree::from_dense(&[Point::new(1.0, 1.0)]);
+        let mut t = DynamicKdTree::new(&[(0, Point::new(1.0, 1.0))]);
         assert_eq!(t.len_live(), 1);
         assert_eq!(t.within_radius(&Point::ORIGIN, 2.0), vec![0]);
         t.remove(0);

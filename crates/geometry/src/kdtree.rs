@@ -610,6 +610,19 @@ impl KdTree {
         self.index.nearest_filtered(&self.points, query, skip)
     }
 
+    /// Like [`KdTree::nearest_filtered`], but only reports points at
+    /// distance `max_dist` or closer.  See
+    /// [`KdIndex::nearest_filtered_within`].
+    pub fn nearest_filtered_within<F: Fn(usize) -> bool>(
+        &self,
+        query: &Point,
+        skip: F,
+        max_dist: f64,
+    ) -> Option<(usize, f64)> {
+        self.index
+            .nearest_filtered_within(&self.points, query, skip, max_dist)
+    }
+
     /// Nearest point to `query` whose component label differs from `label`.
     /// See [`KdIndex::nearest_foreign`].
     pub fn nearest_foreign(

@@ -14,14 +14,16 @@
 //! * [`Point`] and [`Vector`] — planar points and displacement vectors.
 //! * [`Angle`] — radian angles normalized to `[0, 2π)` with counterclockwise
 //!   difference arithmetic (the `∠uvw` notation of the paper).
-//! * [`Ray`], [`Sector`] — antenna beams.
-//! * [`Segment`], [`Circle`], [`Triangle`], [`Aabb`] — supporting shapes used
-//!   by the MST facts (Fact 1: the triangle spanned by two adjacent MST edges
-//!   is empty) and by workload generation.
-//! * [`predicates`] — orientation/incircle style predicates with an explicit
-//!   tolerance model.
-//! * [`convex_hull`], [`closest_pair`], [`kdtree`] — classic computational
-//!   geometry support used by the Euclidean MST builder and the generators.
+//! * [`Sector`] — antenna beams.
+//! * [`Triangle`], [`Aabb`] — supporting shapes used by the MST facts
+//!   (Fact 1: the triangle spanned by two adjacent MST edges is empty) and
+//!   by workload generation.
+//! * [`predicates`] — the orientation predicate with an explicit tolerance
+//!   model.
+//! * [`kdtree`] — the static spatial index under the Euclidean MST builder
+//!   and the verifier; [`tiles`] partitions the plane into a uniform grid
+//!   and keeps one dynamic kd-tree per tile ([`TiledKdForest`]) for
+//!   deployments under churn.
 //! * [`angular`] — sorting points counterclockwise around a pivot and
 //!   analysing the angular gaps between consecutive neighbours, the key
 //!   sub-routine of Lemma 1 and of the chain constructions of Theorems 5/6.
@@ -37,32 +39,21 @@
 pub mod angle;
 pub mod angular;
 pub mod bbox;
-pub mod circle;
-pub mod closest_pair;
-pub mod convex_hull;
 pub mod dynamic;
 pub mod kdtree;
 pub mod point;
 pub mod predicates;
-pub mod ray;
 pub mod sector;
-pub mod segment;
 pub mod tiles;
-pub mod transform;
 pub mod triangle;
 pub mod vector;
 
 pub use angle::Angle;
 pub use bbox::Aabb;
-pub use circle::Circle;
-pub use dynamic::DynamicKdTree;
 pub use kdtree::{KdIndex, KdTree};
 pub use point::Point;
-pub use ray::Ray;
 pub use sector::Sector;
-pub use segment::Segment;
 pub use tiles::{TileGrid, TiledKdForest};
-pub use transform::Transform;
 pub use triangle::Triangle;
 pub use vector::Vector;
 

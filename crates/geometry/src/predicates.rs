@@ -48,34 +48,6 @@ pub fn orientation_eps(a: &Point, b: &Point, c: &Point, eps: f64) -> Orientation
     }
 }
 
-/// Returns `true` when the triple makes a strict left turn.
-pub fn is_ccw(a: &Point, b: &Point, c: &Point) -> bool {
-    orientation(a, b, c) == Orientation::CounterClockwise
-}
-
-/// Returns `true` when the three points are collinear within tolerance.
-pub fn are_collinear(a: &Point, b: &Point, c: &Point) -> bool {
-    orientation(a, b, c) == Orientation::Collinear
-}
-
-/// Returns `true` when point `d` lies strictly inside the circumcircle of the
-/// counterclockwise triangle `(a, b, c)`.
-///
-/// Used by tests that validate MST/Delaunay-style properties of generated
-/// instances.
-pub fn in_circle(a: &Point, b: &Point, c: &Point, d: &Point) -> bool {
-    let adx = a.x - d.x;
-    let ady = a.y - d.y;
-    let bdx = b.x - d.x;
-    let bdy = b.y - d.y;
-    let cdx = c.x - d.x;
-    let cdy = c.y - d.y;
-    let det = (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
-        - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
-        + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady);
-    det > 0.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,8 +62,6 @@ mod tests {
         assert_eq!(orientation(&a, &b, &up), Orientation::CounterClockwise);
         assert_eq!(orientation(&a, &b, &down), Orientation::Clockwise);
         assert_eq!(orientation(&a, &b, &on), Orientation::Collinear);
-        assert!(is_ccw(&a, &b, &up));
-        assert!(are_collinear(&a, &b, &on));
     }
 
     #[test]
@@ -101,17 +71,6 @@ mod tests {
         let b = Point::new(2e6, 2e6);
         let c = Point::new(3e6, 3e6);
         assert_eq!(orientation(&a, &b, &c), Orientation::Collinear);
-    }
-
-    #[test]
-    fn in_circle_detects_interior_points() {
-        // Unit circle through (1,0), (0,1), (-1,0): origin is inside,
-        // (2,0) is outside.
-        let a = Point::new(1.0, 0.0);
-        let b = Point::new(0.0, 1.0);
-        let c = Point::new(-1.0, 0.0);
-        assert!(in_circle(&a, &b, &c, &Point::new(0.0, 0.0)));
-        assert!(!in_circle(&a, &b, &c, &Point::new(2.0, 0.0)));
     }
 
     #[test]

@@ -71,6 +71,13 @@ impl TileGrid {
         }
     }
 
+    /// The one-tile grid: every point, wherever it lies, clamps into tile
+    /// 0, so a [`TiledKdForest`] over it is a single dynamic kd-tree — the
+    /// index of an unsharded deployment.
+    pub fn single() -> Self {
+        TileGrid::new(Aabb::new(Point::ORIGIN, Point::ORIGIN), 1.0)
+    }
+
     /// Grid over the bounding box of `points` with `per_axis × per_axis`
     /// tiles; `None` for an empty point set.
     pub fn with_tiles_per_axis(points: &[Point], per_axis: usize) -> Option<Self> {
@@ -170,6 +177,23 @@ impl TileGrid {
             min: Point::new(lo_x, lo_y),
             max: Point::new(hi_x, hi_y),
         }
+    }
+
+    /// The tiles of the index rectangle covering the closed ball of
+    /// `radius` around `p`, row-major ascending — widened by one tile on
+    /// every side, so rounding in the index arithmetic can never drop a
+    /// tile the ball touches.  Range queries filter these with
+    /// [`TileGrid::tile_distance`] instead of scanning every tile.
+    pub fn tiles_around(&self, p: &Point, radius: f64) -> impl Iterator<Item = usize> + '_ {
+        let span = |c: f64, lo: f64, n: usize| {
+            let index = |v: f64| ((v - lo) / self.tile).floor().max(0.0) as usize;
+            let first = index(c - radius).saturating_sub(1).min(n - 1);
+            let last = index(c + radius).saturating_add(1).min(n - 1);
+            first..=last
+        };
+        let xs = span(p.x, self.bbox.min.x, self.nx);
+        let ys = span(p.y, self.bbox.min.y, self.ny);
+        ys.flat_map(move |iy| xs.clone().map(move |ix| iy * self.nx + ix))
     }
 
     /// Minimum distance from `p` to tile `t`'s box (0 when inside).
@@ -310,8 +334,8 @@ impl TiledKdForest {
         out: &mut Vec<usize>,
     ) {
         out.clear();
-        let mut tile_out: Vec<usize> = Vec::new();
-        for (t, tile) in self.tiles.iter().enumerate() {
+        for t in self.grid.tiles_around(query, radius) {
+            let tile = &self.tiles[t];
             if tile.is_empty() {
                 continue;
             }
@@ -320,8 +344,7 @@ impl TiledKdForest {
             if self.grid.tile_distance(t, query) > radius * PRUNE_SLACK {
                 continue;
             }
-            tile.within_radius_with(query, radius, scratch, &mut tile_out);
-            out.extend_from_slice(&tile_out);
+            tile.append_within_radius(query, radius, scratch, out);
         }
         out.sort_unstable();
     }
@@ -334,6 +357,22 @@ impl TiledKdForest {
         query: &Point,
         skip: F,
     ) -> Option<(usize, f64)> {
+        self.nearest_filtered_slot_within(query, skip, f64::INFINITY)
+    }
+
+    /// Like [`TiledKdForest::nearest_filtered_slot`], but only reports slots
+    /// at distance `max_dist` or closer (inclusive: `None` only ever hides
+    /// strictly farther slots, as in
+    /// [`DynamicKdTree::nearest_filtered_slot_within`]).
+    pub fn nearest_filtered_slot_within<F: Fn(usize) -> bool>(
+        &self,
+        query: &Point,
+        skip: F,
+        max_dist: f64,
+    ) -> Option<(usize, f64)> {
+        if let [tile] = self.tiles.as_slice() {
+            return tile.nearest_filtered_slot_within(query, skip, max_dist);
+        }
         // Visit tiles in box-distance order so the incumbent tightens fast,
         // then stop at the first tile that cannot beat (or tie) it.
         let mut order: Vec<(f64, usize)> = Vec::with_capacity(self.tiles.len());
@@ -345,12 +384,12 @@ impl TiledKdForest {
         order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
         let mut best: Option<(usize, f64)> = None;
         for &(box_dist, t) in &order {
-            if let Some((_, bd)) = best {
-                if box_dist > bd * PRUNE_SLACK {
-                    break;
-                }
+            let bound = best.map_or(max_dist, |(_, bd)| bd);
+            if box_dist > bound * PRUNE_SLACK {
+                break;
             }
-            if let Some((slot, d)) = self.tiles[t].nearest_filtered_slot(query, &skip) {
+            if let Some((slot, d)) = self.tiles[t].nearest_filtered_slot_within(query, &skip, bound)
+            {
                 let better = match best {
                     None => true,
                     // Lexicographic (distance, slot) minimum: the global
@@ -413,6 +452,31 @@ mod tests {
         assert!(TileGrid::auto(&[], 16).is_none());
         let coincident = vec![Point::new(1.0, 1.0); 5];
         assert!(TileGrid::auto(&coincident, 16).is_none());
+    }
+
+    #[test]
+    fn tiles_around_covers_every_tile_the_ball_touches() {
+        let grid = TileGrid::new(Aabb::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0)), 2.5);
+        for (q, r) in [
+            (Point::new(5.0, 5.0), 0.1),
+            (Point::new(5.0, 5.0), 3.0),
+            (Point::new(-40.0, 2.5), 1.0),
+            (Point::new(12.0, 30.0), 50.0),
+            (Point::new(7.5, 7.5), 0.0),
+        ] {
+            let near: Vec<usize> = grid.tiles_around(&q, r).collect();
+            let touched: Vec<usize> = (0..grid.tiles())
+                .filter(|&t| grid.tile_distance(t, &q) <= r * PRUNE_SLACK)
+                .collect();
+            assert!(touched.iter().all(|t| near.contains(t)), "{q} r={r}");
+            assert!(near.windows(2).all(|w| w[0] < w[1]));
+        }
+        assert_eq!(
+            TileGrid::single()
+                .tiles_around(&Point::ORIGIN, 1e300)
+                .count(),
+            1
+        );
     }
 
     #[test]

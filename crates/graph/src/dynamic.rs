@@ -2,103 +2,62 @@
 //!
 //! [`DynamicEmst`] keeps a degree-5 Euclidean MST correct under three edits —
 //! [`insert`](DynamicEmst::insert), [`remove`](DynamicEmst::remove) and
-//! [`move_to`](DynamicEmst::move_to) — without re-running the full engine:
+//! [`move_to`](DynamicEmst::move_to) — without re-running the full engine.
+//! It has one spatial index, a [`TiledKdForest`] (a single tile unless the
+//! deployment is sharded), one constructor and one repair path per edit:
 //!
-//! * **Insert** uses the classic vertex-insertion fact (Chin & Houck): a
-//!   minimum spanning tree of `P ∪ {q}` exists inside `T ∪ star(q)`, where
-//!   `T` is any MST of `P` and `star(q)` are the edges from `q` to every
-//!   point.  The cached tree edges are kept sorted, so one Kruskal pass over
-//!   the merge of two sorted lists (`n − 1` old edges, `n` star edges)
-//!   rebuilds the tree in O(n log n) with a tiny constant — no spatial
-//!   queries, no Borůvka rounds.
+//! * **Build.**  [`DynamicEmst::from_entries`] takes the live `(slot,
+//!   point)` pairs in ascending slot order and runs the static sharded build
+//!   ([`build_sharded`]) over the live points, then relabels dense index `i`
+//!   to the `i`-th slot.  The relabeling is monotone, so it keeps the
+//!   engines' shared `(weight, min, max)` edge order and hence the same
+//!   unique MST.  Fresh, empty and recovered deployments all start here, so
+//!   rebuilding a tenant from a durable image costs one O(n log n) build.
+//! * **Insert** uses the vertex-insertion fact of Chin & Houck (*Algorithms
+//!   for updating minimal spanning trees*, JCSS 1978): a minimum spanning
+//!   tree of `P ∪ {q}` lies inside `T ∪ star(q)`, where `T` is any MST of
+//!   `P` and `star(q)` are the edges from `q` to every point.  Only the star
+//!   edges inside a Lemma-1-scale ball can enter, so the insert collects
+//!   that bounded star from the index, prunes it by the cycle property and
+//!   folds the survivors in with path-max swaps — exact for any index.
 //! * **Remove** deletes the vertex's ≤ 5 incident edges, which splits the
 //!   tree into at most 5 components, every remaining tree edge still being
 //!   MST-valid (each stays a minimum edge across its own cut).  The repair is
 //!   a *localized Borůvka*: repeatedly take the smallest component and ask
-//!   the cached [`DynamicKdTree`] for its minimum outgoing edge
-//!   (nearest-foreign queries per member), merging until one component
-//!   remains — at most 4 merges, each exact by the cut property.
+//!   the index for its minimum outgoing edge (nearest-foreign queries per
+//!   member), merging until one component remains — at most 4 merges, each
+//!   exact by the cut property.
 //! * **Move** is detach + re-attach under the same slot.
 //!
 //! Vertices are identified by stable **slots** (monotonically assigned
-//! `usize` ids); removed slots are tombstoned, and the spatial index compacts
-//! itself via [`DynamicKdTree`]'s threshold rebuilds.  After every edit the
-//! engine reports which live slots had their tree neighborhood changed
-//! ([`DynamicEmst::changed_slots`]) — the hook the incremental re-orientation
-//! in `antennae-core` keys its dirty set off.
+//! `usize` ids); removed slots are tombstoned, and each tile's kd-tree
+//! compacts itself through threshold rebuilds.  After every edit the engine
+//! reports which live slots had their tree neighborhood changed
+//! ([`DynamicEmst::changed_slots`]) — the hook the incremental
+//! re-orientation in `antennae-core` keys its dirty set off.
 //!
 //! Exactness contract (pinned by the edit-script oracle suite in the root
-//! `tests/`): after every edit the maintained tree is a genuine MST of the
-//! live point set — same total weight and same `lmax` as a from-scratch
-//! [`EuclideanMst::build`] — and its maximum degree is repaired to 5 with the
-//! same tie-exchange the static engine uses.
+//! `tests/`): after every edit the maintained tree is the unique MST of the
+//! live point set under the shared edge order — the same edge set, weight
+//! bits included, as a from-scratch [`EuclideanMst::build`] — whenever that
+//! tree has maximum degree ≤ 5.  Otherwise (exact 60° ties, in practice
+//! coincident sensors) the same tie-exchange the static engine uses brings
+//! the degree down to 5, and which exchange runs can depend on the edit
+//! history; weight and `lmax` still match the rebuild.
 
 use crate::euclidean::{EmstError, EuclideanMst, MAX_MST_DEGREE};
 use crate::graph::Graph;
-use crate::sharded::{build_sharded, StitchStats};
-use crate::union_find::UnionFind;
+use crate::sharded::build_sharded;
 use antennae_geometry::angular::{circular_gaps, sort_ccw};
-use antennae_geometry::{DynamicKdTree, Point, TileGrid, TiledKdForest};
+use antennae_geometry::{Point, TileGrid, TiledKdForest};
 
 /// Inclusive widening applied to the bounded-star collection radius of the
-/// tiled attach path, so a star edge whose *weight* rounds to exactly the
-/// radius can never be excluded by the squared-distance ball test.
-/// Supersets of the exact star are harmless: the Kruskal merge skips edges
-/// past the connection point via union-find, so extra candidates cannot
-/// change the take sequence.
+/// insert path, so a star edge whose *weight* rounds to exactly the radius
+/// can never be excluded by the squared-distance ball test.  Supersets of
+/// the exact star are harmless: every star edge outside the ball is the
+/// strict maximum of a cycle, so any star between the ball and the full
+/// star yields the same tree.
 const STAR_SLACK: f64 = 1.0 + 4.0 * f64::EPSILON;
-
-/// The spatial index backing a [`DynamicEmst`]: one global kd-tree, or a
-/// per-tile forest when the engine was built sharded.  All query results are
-/// bit-identical between the two (the forest reproduces the global
-/// smaller-slot tie-break; see `antennae_geometry::tiles`); only the edit
-/// *cost profile* differs — the tiled variant localizes rebuild work to one
-/// tile and unlocks the bounded-star attach.
-#[derive(Debug, Clone)]
-enum SpatialIndex {
-    Global(DynamicKdTree),
-    Tiled(TiledKdForest),
-}
-
-impl SpatialIndex {
-    fn insert(&mut self, slot: usize, p: Point) {
-        match self {
-            SpatialIndex::Global(kd) => kd.insert(slot, p),
-            SpatialIndex::Tiled(forest) => forest.insert(slot, p),
-        }
-    }
-
-    fn remove(&mut self, slot: usize) {
-        match self {
-            SpatialIndex::Global(kd) => kd.remove(slot),
-            SpatialIndex::Tiled(forest) => forest.remove(slot),
-        }
-    }
-
-    fn within_radius_with(
-        &self,
-        query: &Point,
-        radius: f64,
-        scratch: &mut Vec<usize>,
-        out: &mut Vec<usize>,
-    ) {
-        match self {
-            SpatialIndex::Global(kd) => kd.within_radius_with(query, radius, scratch, out),
-            SpatialIndex::Tiled(forest) => forest.within_radius_with(query, radius, scratch, out),
-        }
-    }
-
-    fn nearest_filtered_slot<F: Fn(usize) -> bool>(
-        &self,
-        query: &Point,
-        skip: F,
-    ) -> Option<(usize, f64)> {
-        match self {
-            SpatialIndex::Global(kd) => kd.nearest_filtered_slot(query, skip),
-            SpatialIndex::Tiled(forest) => forest.nearest_filtered_slot(query, skip),
-        }
-    }
-}
 
 /// A tree edge in slot space, ordered by the engines' shared tie-broken
 /// total order `(weight, min slot, max slot)`.
@@ -143,11 +102,10 @@ pub struct DynamicEmst {
     live: usize,
     /// Slot-space tree adjacency, each list sorted ascending by slot.
     adj: Vec<Vec<(usize, f64)>>,
-    /// The tree's edges sorted by the shared `(w, min, max)` order — both
-    /// the cache the insert path's Kruskal merge runs against and the
+    /// The tree's edges sorted by the shared `(w, min, max)` order — the
     /// source of `lmax` (its last entry).
     sorted_edges: Vec<SlotEdge>,
-    index: SpatialIndex,
+    index: TiledKdForest,
     /// Live slots whose tree neighborhood changed in the last edit.
     changed: Vec<usize>,
     /// Component-labeling scratch shared by [`DynamicEmst::reconnect`]
@@ -164,97 +122,80 @@ pub struct DynamicEmst {
 }
 
 impl DynamicEmst {
-    /// Builds the engine over an initial deployment (slot `i` = point `i`),
-    /// delegating the first tree to the static [`EuclideanMst::build`].
+    /// The one constructor: `entries` are the live `(slot, point)` pairs in
+    /// strictly ascending slot order, `next_slot` is the slot the next
+    /// [`DynamicEmst::insert`] returns (every slot below it without an
+    /// entry is dead), and `grid` partitions the spatial index —
+    /// [`TileGrid::single`] for an unsharded deployment.
     ///
-    /// An **empty** initial deployment is allowed: the engine starts with no
-    /// live slots (edgeless, `lmax == 0`) and grows through
-    /// [`DynamicEmst::insert`] — the shape a long-running service needs when
-    /// a deployment is registered before its first sensor arrives.
-    pub fn new(points: &[Point]) -> Result<Self, EmstError> {
-        if points.is_empty() {
-            return Ok(Self::empty(SpatialIndex::Global(DynamicKdTree::new(&[]))));
-        }
-        let initial = EuclideanMst::build(points)?;
-        let index = SpatialIndex::Global(DynamicKdTree::from_dense(points));
-        Ok(Self::from_initial(points, &initial, index))
-    }
-
-    /// Builds a **tiled** engine over an initial deployment: the first tree
-    /// comes from the sharded stitched builder ([`build_sharded`], which is
-    /// bit-identical to [`EuclideanMst::build`]), and the spatial index is a
-    /// per-tile [`TiledKdForest`] over `grid`.  Subsequent edits behave
-    /// edit-for-edit identically to a global engine — same tree bits, same
-    /// changed-slot sets — but rebuild work localizes to the owning tile and
-    /// inserts use a bounded star collected from a Lemma-1-scale ball instead
-    /// of an all-points star (the `n=10⁵` single-edit headline).
+    /// **Empty** entries are allowed: the engine starts with no live slots
+    /// (edgeless, `lmax == 0`) and grows through [`DynamicEmst::insert`] —
+    /// the shape a long-running service needs when a deployment is
+    /// registered before its first sensor arrives.
     ///
-    /// Also returns the initial build's [`StitchStats`] for telemetry.
-    pub fn new_tiled(
-        points: &[Point],
+    /// The first tree is [`build_sharded`] over the live points in entry
+    /// order (bit-identical to [`EuclideanMst::build`] at every `threads`),
+    /// with dense index `i` relabeled to `entries[i].0`.  The relabeling is
+    /// monotone, so the `(weight, min, max)` order — and with it the unique
+    /// MST — is the same in slot space: a deployment rebuilt from its live
+    /// set holds the tree its edit history left behind (see the module docs
+    /// for the degree-exchange caveat).
+    ///
+    /// # Panics
+    ///
+    /// When the entry slots are not strictly ascending below `next_slot`.
+    pub fn from_entries(
+        entries: &[(usize, Point)],
+        next_slot: usize,
         grid: TileGrid,
         threads: usize,
-    ) -> Result<(Self, StitchStats), EmstError> {
-        let empty_stats = StitchStats {
-            tiles: grid.tiles(),
-            occupied_tiles: 0,
-            largest_tile: 0,
-            tile_edges: 0,
-            cross_edges: 0,
-            stitch_rounds: 0,
-            stitched: false,
-        };
-        if points.is_empty() {
-            let forest = TiledKdForest::new(grid, &[]);
-            return Ok((Self::empty(SpatialIndex::Tiled(forest)), empty_stats));
+    ) -> Result<Self, EmstError> {
+        assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0)
+                && entries.last().is_none_or(|&(slot, _)| slot < next_slot),
+            "entry slots must be strictly ascending below next_slot"
+        );
+        let mut points = vec![Point::ORIGIN; next_slot];
+        let mut alive = vec![false; next_slot];
+        for &(slot, p) in entries {
+            points[slot] = p;
+            alive[slot] = true;
         }
-        let (initial, stats) = build_sharded(points, &grid, threads)?;
-        let entries: Vec<(usize, Point)> = points.iter().copied().enumerate().collect();
-        let index = SpatialIndex::Tiled(TiledKdForest::new(grid, &entries));
-        Ok((Self::from_initial(points, &initial, index), stats))
-    }
-
-    fn empty(index: SpatialIndex) -> Self {
-        DynamicEmst {
-            points: Vec::new(),
-            alive: Vec::new(),
-            live: 0,
-            adj: Vec::new(),
+        let mut emst = DynamicEmst {
+            points,
+            alive,
+            live: entries.len(),
+            adj: vec![Vec::new(); next_slot],
             sorted_edges: Vec::new(),
-            index,
+            index: TiledKdForest::new(grid, entries),
             changed: Vec::new(),
-            label_stamp: Vec::new(),
-            label_of: Vec::new(),
+            label_stamp: vec![0; next_slot],
+            label_of: vec![0; next_slot],
             label_epoch: 0,
-            path_parent: Vec::new(),
-            path_w: Vec::new(),
+            path_parent: vec![0; next_slot],
+            path_w: vec![0.0; next_slot],
+        };
+        if entries.is_empty() {
+            return Ok(emst);
         }
-    }
-
-    fn from_initial(points: &[Point], initial: &EuclideanMst, index: SpatialIndex) -> Self {
-        let n = points.len();
-        let mut sorted_edges: Vec<SlotEdge> = initial
+        let live: Vec<Point> = entries.iter().map(|&(_, p)| p).collect();
+        let (initial, _) = build_sharded(&live, emst.index.grid(), threads)?;
+        for (dense, &(slot, _)) in entries.iter().enumerate() {
+            // Dense adjacency is ascending, and so stays after relabeling.
+            emst.adj[slot] = initial
+                .neighbors(dense)
+                .iter()
+                .map(|&(u, w)| (entries[u].0, w))
+                .collect();
+        }
+        emst.sorted_edges = initial
             .edges()
             .iter()
-            .map(|e| make_edge(e.weight, e.u, e.v))
+            .map(|e| make_edge(e.weight, entries[e.u].0, entries[e.v].0))
             .collect();
-        sorted_edges.sort_unstable_by(|&a, &b| edge_order(a, b));
-        let mut emst = DynamicEmst {
-            points: points.to_vec(),
-            alive: vec![true; n],
-            live: n,
-            adj: vec![Vec::new(); n],
-            sorted_edges,
-            index,
-            changed: Vec::new(),
-            label_stamp: vec![0; n],
-            label_of: vec![0; n],
-            label_epoch: 0,
-            path_parent: vec![0; n],
-            path_w: vec![0.0; n],
-        };
-        emst.rebuild_adjacency();
-        emst
+        emst.sorted_edges
+            .sort_unstable_by(|&a, &b| edge_order(a, b));
+        Ok(emst)
     }
 
     /// Number of live sensors.
@@ -319,47 +260,15 @@ impl DynamicEmst {
         self.index.within_radius_with(query, radius, scratch, out);
     }
 
-    /// The tile grid of a tiled engine, `None` for a global one.
-    pub fn tile_grid(&self) -> Option<&TileGrid> {
-        match &self.index {
-            SpatialIndex::Global(_) => None,
-            SpatialIndex::Tiled(forest) => Some(forest.grid()),
-        }
+    /// The grid the spatial index is partitioned by (one tile when the
+    /// deployment is unsharded).
+    pub fn tile_grid(&self) -> &TileGrid {
+        self.index.grid()
     }
 
-    /// Occupied tile count of a tiled engine, `None` for a global one.
-    pub fn occupied_tiles(&self) -> Option<usize> {
-        match &self.index {
-            SpatialIndex::Global(_) => None,
-            SpatialIndex::Tiled(forest) => Some(forest.occupied_tiles()),
-        }
-    }
-
-    /// Swaps the spatial index in place: `Some(grid)` re-tiles the engine
-    /// over that grid, `None` reverts to one global kd-tree.  The tree, the
-    /// slots and every future edit result are unaffected — the index is a
-    /// pure acceleration structure and both variants answer queries
-    /// bit-identically — so this is how a deployment recovered by replay
-    /// (which starts empty, hence global) adopts its configured sharding
-    /// after the fact.
-    pub fn set_tile_grid(&mut self, grid: Option<TileGrid>) {
-        let entries: Vec<(usize, Point)> = (0..self.points.len())
-            .filter(|&s| self.alive[s])
-            .map(|s| (s, self.points[s]))
-            .collect();
-        self.index = match grid {
-            Some(grid) => SpatialIndex::Tiled(TiledKdForest::new(grid, &entries)),
-            None => SpatialIndex::Global(DynamicKdTree::new(&entries)),
-        };
-    }
-
-    /// The live points in ascending slot order (what a shard spec resolves
-    /// its grid against).
-    pub fn live_points(&self) -> Vec<Point> {
-        (0..self.points.len())
-            .filter(|&s| self.alive[s])
-            .map(|s| self.points[s])
-            .collect()
+    /// Tiles holding at least one live sensor.
+    pub fn occupied_tiles(&self) -> usize {
+        self.index.occupied_tiles()
     }
 
     /// Live slots whose tree neighborhood changed in the most recent edit
@@ -435,131 +344,59 @@ impl DynamicEmst {
     }
 
     /// Connects `slot` (live, currently edge-less) to the spanning tree of
-    /// the other live slots via a Kruskal pass over the merge of the cached
-    /// sorted tree edges and `slot`'s sorted star.
+    /// the other live slots — exact vertex insertion in three steps:
     ///
-    /// A global engine uses the full star (every live slot).  A tiled engine
-    /// collects a **bounded star** instead: with `d₁` the distance to the
-    /// nearest live sensor and `R = max(d₁, lmax)`, every star edge the
-    /// Kruskal merge can possibly *take* has weight ≤ `R` — once all old
-    /// tree edges (each ≤ `lmax`) and the edge to the nearest neighbour
-    /// (`d₁`) have been processed, the forest is fully connected and later
-    /// star edges are union-find no-ops.  Collecting the closed ball of
-    /// radius `R` (ulp-widened by [`STAR_SLACK`]) therefore reproduces the
-    /// full star's take sequence bit-for-bit while touching `O(ball)` points
-    /// instead of `O(n)`.
+    /// 1. **Bounded star.**  With `d₁` the distance to the nearest live
+    ///    sensor and `R = max(d₁, lmax)`, a star edge `(v, u)` longer than
+    ///    `R` closes the cycle `v → nearest ⋯ u` whose other edges (the
+    ///    nearest edge and tree edges) are all ≤ `R`, so it is in no MST of
+    ///    `T ∪ star(v)`.  Collecting the closed ball of radius `R`
+    ///    (ulp-widened by [`STAR_SLACK`]) keeps every star edge that can
+    ///    enter while touching `O(ball)` points instead of `O(n)`.
+    /// 2. **Cycle-property pruning.**  A candidate `(v, u)` with a witness
+    ///    `z` such that both `(v, z)` and `(z, u)` precede it in the shared
+    ///    edge order is the strict maximum of the triangle `v–z–u`, so it is
+    ///    in no MST and can be dropped.  Any witness closer to `v` than `u`
+    ///    lies inside the ball, so scanning earlier star entries finds one
+    ///    whenever it exists; survivors are pairwise ≥ 60° apart around `v`
+    ///    (else the nearer endpoint witnesses against the farther), hence at
+    ///    most six — the relative-neighborhood-graph bound.
+    /// 3. **Path-max swaps.**  The smallest star edge is the minimum edge
+    ///    across the cut `{v}`, so it joins unconditionally.  Each further
+    ///    survivor `e = (v, u)` closes one cycle with the current tree path
+    ///    `v⋯u`; by the cycle property the tree stays minimum iff the path's
+    ///    maximum edge `M` survives, so `e` enters (and `M` leaves) exactly
+    ///    when `e < M`.  Each step keeps the tree an exact MST of the edges
+    ///    considered so far, and the Chin–Houck fact
+    ///    (`MST(P ∪ {v}) ⊆ T ∪ star(v)`) makes the final tree the MST of the
+    ///    full point set.
     fn attach(&mut self, slot: usize) {
         if self.live <= 1 {
             return;
         }
         let apex = self.points[slot];
-        match &self.index {
-            SpatialIndex::Global(_) => {
-                let mut star = Vec::with_capacity(self.live - 1);
-                for t in 0..self.points.len() {
-                    if t != slot && self.alive[t] {
-                        star.push(make_edge(apex.distance(&self.points[t]), slot, t));
-                    }
-                }
-                star.sort_unstable_by(|&a, &b| edge_order(a, b));
-                self.attach_merge(&star);
-            }
-            SpatialIndex::Tiled(forest) => {
-                let (_, d1) = forest
-                    .nearest_filtered_slot(&apex, |s| s == slot)
-                    .expect("live > 1, so a nearest foreign sensor exists");
-                let radius = d1.max(self.lmax()) * STAR_SLACK;
-                let mut scratch = Vec::new();
-                let mut ball = Vec::new();
-                forest.within_radius_with(&apex, radius, &mut scratch, &mut ball);
-                let mut star: Vec<SlotEdge> = ball
-                    .iter()
-                    .filter(|&&t| t != slot)
-                    .map(|&t| make_edge(apex.distance(&self.points[t]), slot, t))
-                    .collect();
-                star.sort_unstable_by(|&a, &b| edge_order(a, b));
-                self.attach_local(slot, &star);
-            }
-        }
-        self.repair_degrees();
-    }
+        let (_, d1) = self
+            .index
+            .nearest_filtered_slot(&apex, |s| s == slot)
+            .expect("live > 1, so a nearest foreign sensor exists");
+        let radius = d1.max(self.lmax()) * STAR_SLACK;
+        let mut scratch = Vec::new();
+        let mut ball = Vec::new();
+        self.index
+            .within_radius_with(&apex, radius, &mut scratch, &mut ball);
+        let other = |e: SlotEdge| if e.1 as usize == slot { e.2 } else { e.1 } as usize;
+        let mut star: Vec<SlotEdge> = ball
+            .iter()
+            .filter(|&&t| t != slot)
+            .map(|&t| make_edge(apex.distance(&self.points[t]), slot, t))
+            .collect();
+        star.sort_unstable_by(|&a, &b| edge_order(a, b));
 
-    /// Global-engine attach: Kruskal over merge(old tree, full star), applied
-    /// *surgically* — the new tree differs from the old one only by the taken
-    /// star edges and the old edges they displace (k taken ⟹ exactly k − 1
-    /// displaced), so instead of rebuilding every adjacency list the handful
-    /// of insertions/evictions is recorded as it happens.  `new_edges` comes
-    /// out of the merge already in sorted edge order.
-    fn attach_merge(&mut self, star: &[SlotEdge]) {
-        let mut uf = UnionFind::new(self.points.len());
-        let mut new_edges: Vec<SlotEdge> = Vec::with_capacity(self.live - 1);
-        let (mut i, mut j) = (0usize, 0usize);
-        while new_edges.len() < self.live - 1 {
-            let take_old = match (self.sorted_edges.get(i), star.get(j)) {
-                (Some(&a), Some(&b)) => edge_order(a, b) == std::cmp::Ordering::Less,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if take_old {
-                i += 1;
-                let e = self.sorted_edges[i - 1];
-                if uf.union(e.1 as usize, e.2 as usize) {
-                    new_edges.push(e);
-                } else {
-                    self.evict_adj(e);
-                }
-            } else {
-                j += 1;
-                let e = star[j - 1];
-                if uf.union(e.1 as usize, e.2 as usize) {
-                    new_edges.push(e);
-                    self.adj_insert(e.1 as usize, e.2 as usize, e.0);
-                    self.adj_insert(e.2 as usize, e.1 as usize, e.0);
-                    self.changed.push(e.1 as usize);
-                    self.changed.push(e.2 as usize);
-                }
-            }
-        }
-        // Old edges past the early exit close cycles in the completed tree
-        // (Kruskal would reject them); they leave the tree too.
-        while i < self.sorted_edges.len() {
-            self.evict_adj(self.sorted_edges[i]);
-            i += 1;
-        }
-        self.sorted_edges = new_edges;
-    }
-
-    /// Tiled-engine attach: exact vertex insertion without touching the rest
-    /// of the tree.  `star` is the sorted bounded star (see
-    /// [`DynamicEmst::attach`]); the final tree is the same unique MST the
-    /// global merge produces, via two exact reductions:
-    ///
-    /// 1. **Cycle-property pruning.**  A candidate `(v, u)` with a witness
-    ///    `z` such that both `(v, z)` and `(z, u)` precede it in the shared
-    ///    edge order is the strict maximum of the triangle `v–z–u`, so it is
-    ///    in no MST and can be dropped.  Any witness closer to `v` than `u`
-    ///    lies inside the collection ball, so scanning earlier star entries
-    ///    finds one whenever it exists; survivors are pairwise ≥ 60° apart
-    ///    around `v` (else the nearer endpoint witnesses against the
-    ///    farther), hence at most six — the relative-neighborhood-graph
-    ///    bound.
-    /// 2. **Path-max swaps (Chin & Houck).**  The smallest star edge is the
-    ///    minimum edge across the cut `{v}`, so it joins unconditionally.
-    ///    Each further survivor `e = (v, u)` closes one cycle with the
-    ///    current tree path `v⋯u`; by the cycle property the tree stays
-    ///    minimum iff the path's maximum edge `M` survives, so `e` enters
-    ///    (and `M` leaves) exactly when `e < M`.  Each step keeps the tree
-    ///    an exact MST of the edges considered so far, and the Chin–Houck
-    ///    fact (`MST(P ∪ {v}) ⊆ T ∪ star(v)`) makes the final tree the MST
-    ///    of the full point set.
-    fn attach_local(&mut self, slot: usize, star: &[SlotEdge]) {
-        debug_assert!(!star.is_empty(), "live > 1 leaves at least one candidate");
         let mut survivors: Vec<SlotEdge> = Vec::new();
         'candidates: for (ci, &e) in star.iter().enumerate() {
-            let u = if e.1 as usize == slot { e.2 } else { e.1 } as usize;
+            let u = other(e);
             for &ze in &star[..ci] {
-                let z = if ze.1 as usize == slot { ze.2 } else { ze.1 } as usize;
+                let z = other(ze);
                 let zu = make_edge(self.points[z].distance(&self.points[u]), z, u);
                 if edge_order(zu, e) == std::cmp::Ordering::Less {
                     continue 'candidates;
@@ -568,16 +405,9 @@ impl DynamicEmst {
             survivors.push(e);
         }
 
-        let first = survivors[0];
-        self.adj_insert(first.1 as usize, first.2 as usize, first.0);
-        self.adj_insert(first.2 as usize, first.1 as usize, first.0);
-        self.insert_sorted(first);
-        self.changed.push(first.1 as usize);
-        self.changed.push(first.2 as usize);
-
+        self.add_tree_edge(survivors[0]);
         for &e in &survivors[1..] {
-            let u = if e.1 as usize == slot { e.2 } else { e.1 } as usize;
-            let m = self.tree_path_max(slot, u);
+            let m = self.tree_path_max(slot, other(e));
             if edge_order(e, m) == std::cmp::Ordering::Less {
                 let (ma, mb) = (m.1 as usize, m.2 as usize);
                 self.adj[ma].retain(|&(x, _)| x != mb);
@@ -585,13 +415,21 @@ impl DynamicEmst {
                 self.remove_sorted(m);
                 self.changed.push(ma);
                 self.changed.push(mb);
-                self.adj_insert(e.1 as usize, e.2 as usize, e.0);
-                self.adj_insert(e.2 as usize, e.1 as usize, e.0);
-                self.insert_sorted(e);
-                self.changed.push(e.1 as usize);
-                self.changed.push(e.2 as usize);
+                self.add_tree_edge(e);
             }
         }
+        self.repair_degrees();
+    }
+
+    /// Wires `e` into both adjacency lists and the sorted edge cache, and
+    /// marks its endpoints changed.
+    fn add_tree_edge(&mut self, e: SlotEdge) {
+        let (a, b) = (e.1 as usize, e.2 as usize);
+        self.adj_insert(a, b, e.0);
+        self.adj_insert(b, a, e.0);
+        self.insert_sorted(e);
+        self.changed.push(a);
+        self.changed.push(b);
     }
 
     /// The maximum edge (by the shared order) on the unique tree path
@@ -647,20 +485,9 @@ impl DynamicEmst {
         max
     }
 
-    /// Drops a just-displaced old tree edge from both adjacency lists and
-    /// marks its endpoints changed (the sorted edge cache is replaced
-    /// wholesale by the caller).
-    fn evict_adj(&mut self, e: SlotEdge) {
-        let (a, b) = (e.1 as usize, e.2 as usize);
-        self.adj[a].retain(|&(v, _)| v != b);
-        self.adj[b].retain(|&(v, _)| v != a);
-        self.changed.push(a);
-        self.changed.push(b);
-    }
-
     /// Removes `slot`'s incident edges and reconnects the resulting ≤ 5
     /// components with their minimum outgoing edges (localized Borůvka over
-    /// the cached kd-tree).  `slot` must already be excluded from the live
+    /// the spatial index).  `slot` must already be excluded from the live
     /// set (dead, or temporarily detached by a move).
     fn detach(&mut self, slot: usize) {
         let incident: Vec<(usize, f64)> = std::mem::take(&mut self.adj[slot]);
@@ -751,9 +578,16 @@ impl DynamicEmst {
             let label = ci as u32;
             let mut best: Option<(SlotEdge, usize)> = None; // (edge, foreign slot)
             for &v in &members[ci] {
-                let found = self.index.nearest_filtered_slot(&self.points[v], |s| {
-                    self.label_stamp[s] == epoch && self.label_of[s] == label
-                });
+                // Bounded by the best edge so far (inclusive, so a tie with
+                // a smaller key still surfaces).  Members come in BFS order
+                // from the seed, a neighbour of the detached vertex, so the
+                // bound is tight from the first query on.
+                let bound = best.map_or(f64::INFINITY, |(b, _)| b.0);
+                let found = self.index.nearest_filtered_slot_within(
+                    &self.points[v],
+                    |s| self.label_stamp[s] == epoch && self.label_of[s] == label,
+                    bound,
+                );
                 if let Some((u, d)) = found {
                     let e = make_edge(d, v, u);
                     if best.is_none_or(|(b, _)| edge_order(e, b) == std::cmp::Ordering::Less) {
@@ -762,12 +596,7 @@ impl DynamicEmst {
                 }
             }
             let (edge, foreign) = best.expect("a second component exists");
-            let (a, b) = (edge.1 as usize, edge.2 as usize);
-            self.adj_insert(a, b, edge.0);
-            self.adj_insert(b, a, edge.0);
-            self.insert_sorted(edge);
-            self.changed.push(a);
-            self.changed.push(b);
+            self.add_tree_edge(edge);
 
             merged[ci] = true;
             if self.label_stamp[foreign] == epoch {
@@ -786,19 +615,6 @@ impl DynamicEmst {
                 // label is never a query side again, and other components
                 // already treat it as foreign.
             }
-        }
-    }
-
-    fn rebuild_adjacency(&mut self) {
-        for list in &mut self.adj {
-            list.clear();
-        }
-        for &(w, a, b) in &self.sorted_edges {
-            self.adj[a as usize].push((b as usize, w));
-            self.adj[b as usize].push((a as usize, w));
-        }
-        for list in &mut self.adj {
-            list.sort_unstable_by_key(|&(s, _)| s);
         }
     }
 
@@ -868,13 +684,8 @@ impl DynamicEmst {
             self.adj[v].retain(|&(u, _)| u != drop_endpoint);
             self.adj[drop_endpoint].retain(|&(u, _)| u != v);
             self.remove_sorted(make_edge(dropped_w, v, drop_endpoint));
-            let w = self.points[a].distance(&self.points[b]);
-            self.adj_insert(a, b, w);
-            self.adj_insert(b, a, w);
-            self.insert_sorted(make_edge(w, a, b));
+            self.add_tree_edge(make_edge(self.points[a].distance(&self.points[b]), a, b));
             self.changed.push(v);
-            self.changed.push(a);
-            self.changed.push(b);
             heap.push(std::cmp::Reverse(v));
             heap.push(std::cmp::Reverse(a));
             heap.push(std::cmp::Reverse(b));
@@ -929,6 +740,12 @@ mod tests {
             .collect()
     }
 
+    /// A one-tile engine over a dense deployment (slot `i` = point `i`).
+    fn one_tile(points: &[Point]) -> DynamicEmst {
+        let entries: Vec<(usize, Point)> = points.iter().copied().enumerate().collect();
+        DynamicEmst::from_entries(&entries, points.len(), TileGrid::single(), 1).unwrap()
+    }
+
     /// The maintained tree must match a from-scratch build: spanning, same
     /// weight, same `lmax`, degree ≤ 5.
     fn assert_matches_rebuild(emst: &DynamicEmst) {
@@ -958,7 +775,7 @@ mod tests {
 
     #[test]
     fn insert_grows_a_correct_tree() {
-        let mut emst = DynamicEmst::new(&random_points(2, 1)).unwrap();
+        let mut emst = one_tile(&random_points(2, 1));
         let extra = random_points(30, 2);
         for p in extra {
             emst.insert(p);
@@ -971,7 +788,7 @@ mod tests {
     #[test]
     fn remove_repairs_the_tree() {
         let pts = random_points(40, 3);
-        let mut emst = DynamicEmst::new(&pts).unwrap();
+        let mut emst = one_tile(&pts);
         let mut rng = StdRng::seed_from_u64(9);
         while emst.live_count() > 1 {
             let live = emst.live_slots();
@@ -991,7 +808,7 @@ mod tests {
 
     #[test]
     fn empty_engine_grows_and_drains() {
-        let mut emst = DynamicEmst::new(&[]).unwrap();
+        let mut emst = one_tile(&[]);
         assert_eq!(emst.live_count(), 0);
         assert_eq!(emst.lmax(), 0.0);
         assert!(matches!(
@@ -1021,7 +838,7 @@ mod tests {
     #[test]
     fn moves_track_the_rebuild() {
         let pts = random_points(25, 4);
-        let mut emst = DynamicEmst::new(&pts).unwrap();
+        let mut emst = one_tile(&pts);
         let mut rng = StdRng::seed_from_u64(10);
         for _ in 0..40 {
             let live = emst.live_slots();
@@ -1043,7 +860,7 @@ mod tests {
                 pts.push(Point::new(i as f64, j as f64));
             }
         }
-        let mut emst = DynamicEmst::new(&pts).unwrap();
+        let mut emst = one_tile(&pts);
         let dup = emst.insert(Point::new(2.0, 2.0)); // exact duplicate
         assert_matches_rebuild(&emst);
         emst.insert(Point::new(2.0, 2.0));
@@ -1056,7 +873,7 @@ mod tests {
 
     #[test]
     fn dead_slots_are_rejected() {
-        let mut emst = DynamicEmst::new(&random_points(5, 6)).unwrap();
+        let mut emst = one_tile(&random_points(5, 6));
         emst.remove(2).unwrap();
         assert!(matches!(
             emst.remove(2),
@@ -1070,52 +887,55 @@ mod tests {
         assert_eq!(emst.live_slots(), vec![0, 1, 3, 4]);
     }
 
-    /// A tiled engine must be **edit-for-edit bit-identical** to a global
-    /// one: same sorted edge cache (weights compared by bits), same changed
-    /// sets, same lmax/total-weight bits after every edit.
-    #[test]
-    fn tiled_engine_matches_global_edit_for_edit() {
-        let pts = random_points(120, 21);
-        let grid = TileGrid::with_tiles_per_axis(&pts, 3).unwrap();
-        let mut global = DynamicEmst::new(&pts).unwrap();
-        let (mut tiled, _) = DynamicEmst::new_tiled(&pts, grid, 2).unwrap();
+    fn edge_bits(emst: &DynamicEmst) -> Vec<(u32, u32, u64)> {
+        emst.sorted_edges
+            .iter()
+            .map(|e| (e.1, e.2, e.0.to_bits()))
+            .collect()
+    }
 
-        let assert_same = |g: &DynamicEmst, t: &DynamicEmst| {
-            let key = |e: &SlotEdge| (e.1, e.2, e.0.to_bits());
-            let ge: Vec<_> = g.sorted_edges.iter().map(key).collect();
-            let te: Vec<_> = t.sorted_edges.iter().map(key).collect();
-            assert_eq!(ge, te);
-            assert_eq!(g.changed_slots(), t.changed_slots());
-            assert_eq!(g.lmax().to_bits(), t.lmax().to_bits());
-            assert_eq!(g.total_weight().to_bits(), t.total_weight().to_bits());
+    /// The index is a pure acceleration structure: a 3×3-tiled engine must
+    /// be **edit-for-edit bit-identical** to a one-tile one — same sorted
+    /// edge cache (weights compared by bits), same changed sets.
+    #[test]
+    fn tiled_engine_matches_one_tile_edit_for_edit() {
+        let pts = random_points(120, 21);
+        let entries: Vec<(usize, Point)> = pts.iter().copied().enumerate().collect();
+        let grid = TileGrid::with_tiles_per_axis(&pts, 3).unwrap();
+        let mut single = one_tile(&pts);
+        let mut tiled = DynamicEmst::from_entries(&entries, pts.len(), grid, 2).unwrap();
+
+        let assert_same = |a: &DynamicEmst, b: &DynamicEmst| {
+            assert_eq!(edge_bits(a), edge_bits(b));
+            assert_eq!(a.changed_slots(), b.changed_slots());
         };
-        assert_same(&global, &tiled);
+        assert_same(&single, &tiled);
 
         let mut rng = StdRng::seed_from_u64(22);
         for step in 0..120 {
             match step % 3 {
                 0 => {
                     let p = Point::new(rng.random_range(0.0..20.0), rng.random_range(0.0..20.0));
-                    assert_eq!(global.insert(p), tiled.insert(p));
+                    assert_eq!(single.insert(p), tiled.insert(p));
                 }
                 1 => {
-                    let live = global.live_slots();
+                    let live = single.live_slots();
                     let victim = live[rng.random_range(0..live.len())];
-                    global.remove(victim).unwrap();
+                    single.remove(victim).unwrap();
                     tiled.remove(victim).unwrap();
                 }
                 _ => {
-                    let live = global.live_slots();
+                    let live = single.live_slots();
                     let slot = live[rng.random_range(0..live.len())];
                     let p = Point::new(rng.random_range(0.0..20.0), rng.random_range(0.0..20.0));
-                    global.move_to(slot, p).unwrap();
+                    single.move_to(slot, p).unwrap();
                     tiled.move_to(slot, p).unwrap();
                 }
             }
-            assert_same(&global, &tiled);
+            assert_same(&single, &tiled);
         }
-        assert!(tiled.tile_grid().is_some());
-        assert!(global.tile_grid().is_none());
+        assert_eq!(single.tile_grid().tiles(), 1);
+        assert!(tiled.tile_grid().tiles() >= 9);
         assert_matches_rebuild(&tiled);
     }
 
@@ -1126,21 +946,49 @@ mod tests {
     fn tiled_engine_grows_from_empty_and_clamps_outliers() {
         let seed = random_points(4, 30);
         let grid = TileGrid::with_tiles_per_axis(&seed, 2).unwrap();
-        let (mut tiled, stats) = DynamicEmst::new_tiled(&[], grid, 1).unwrap();
-        assert_eq!(stats.occupied_tiles, 0);
-        let mut global = DynamicEmst::new(&[]).unwrap();
+        let mut tiled = DynamicEmst::from_entries(&[], 0, grid, 1).unwrap();
+        assert_eq!(tiled.occupied_tiles(), 0);
+        let mut single = one_tile(&[]);
         for p in &seed {
-            assert_eq!(global.insert(*p), tiled.insert(*p));
+            assert_eq!(single.insert(*p), tiled.insert(*p));
         }
         // Far outside the grid's bounding box on both sides.
         for p in [Point::new(-500.0, -500.0), Point::new(900.0, 900.0)] {
-            assert_eq!(global.insert(p), tiled.insert(p));
+            assert_eq!(single.insert(p), tiled.insert(p));
         }
-        let key = |e: &SlotEdge| (e.1, e.2, e.0.to_bits());
-        let ge: Vec<_> = global.sorted_edges.iter().map(key).collect();
-        let te: Vec<_> = tiled.sorted_edges.iter().map(key).collect();
-        assert_eq!(ge, te);
+        assert_eq!(edge_bits(&single), edge_bits(&tiled));
         assert_matches_rebuild(&tiled);
+    }
+
+    /// A bulk build from a sparse live set lands on the tree the edit
+    /// history left behind, and slots keep flowing from `next_slot`.
+    #[test]
+    fn bulk_build_from_sparse_slots_matches_the_lived_engine() {
+        let mut lived = one_tile(&random_points(60, 40));
+        let mut rng = StdRng::seed_from_u64(41);
+        for _ in 0..30 {
+            let live = lived.live_slots();
+            lived.remove(live[rng.random_range(0..live.len())]).unwrap();
+            lived.insert(Point::new(
+                rng.random_range(0.0..20.0),
+                rng.random_range(0.0..20.0),
+            ));
+        }
+        let entries: Vec<(usize, Point)> = lived
+            .live_slots()
+            .into_iter()
+            .map(|s| (s, lived.point(s)))
+            .collect();
+        let mut rebuilt =
+            DynamicEmst::from_entries(&entries, lived.slot_bound(), TileGrid::single(), 1).unwrap();
+        assert_eq!(rebuilt.live_slots(), lived.live_slots());
+        assert_eq!(edge_bits(&rebuilt), edge_bits(&lived));
+        for s in rebuilt.live_slots() {
+            assert_eq!(rebuilt.neighbors(s), lived.neighbors(s));
+        }
+        let p = Point::new(3.0, 4.0);
+        assert_eq!(rebuilt.insert(p), lived.insert(p));
+        assert_eq!(edge_bits(&rebuilt), edge_bits(&lived));
     }
 
     #[test]
@@ -1148,7 +996,7 @@ mod tests {
         // A long path: moving one interior vertex slightly must not touch
         // the far ends.
         let pts: Vec<Point> = (0..50).map(|i| Point::new(i as f64, 0.0)).collect();
-        let mut emst = DynamicEmst::new(&pts).unwrap();
+        let mut emst = one_tile(&pts);
         emst.move_to(25, Point::new(25.0, 0.1)).unwrap();
         assert_matches_rebuild(&emst);
         let changed = emst.changed_slots();

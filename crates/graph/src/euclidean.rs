@@ -30,14 +30,11 @@
 //!   (see [`EuclideanMst::build_with_engine_threads`]) while producing
 //!   bit-identical trees at every thread count.
 //!
-//! Each engine breaks weight ties deterministically — dense Prim prefers the
-//! lexicographically smaller `(target, source)` pair, the Borůvka engine a
-//! total order on edges (weight, then smaller endpoint, then larger
-//! endpoint) — so each computes a true MST even on degenerate inputs.  The
-//! two orders differ, so the *trees* may differ on tied inputs; but since
-//! **every** MST of a graph has the same multiset of edge weights, the
-//! engines always agree on `total_weight` and `lmax`, which is exactly what
-//! the cross-engine property tests assert.
+//! Both engines break weight ties by one total order on edges — weight, then
+//! smaller endpoint, then larger endpoint — under which all edge keys are
+//! distinct and the MST is unique.  Each therefore computes a true MST even
+//! on degenerate inputs, and both compute the *same* tree: the cross-engine
+//! tests compare edge sets, weight bits included, on tie-heavy lattices.
 //!
 //! [`EuclideanMst::build`] selects the engine by input size (the
 //! [`KDTREE_CROSSOVER`] threshold); `build_with_engine` pins one explicitly.
@@ -416,9 +413,12 @@ impl EuclideanMst {
 
 /// Dense Prim over the complete Euclidean graph: O(n²) time, O(n) memory.
 ///
-/// Ties between equal candidate distances are broken by preferring the
-/// lexicographically smaller `(target, source)` pair, which keeps the tree
-/// deterministic and helps avoid the degree-6 tie configurations.
+/// Every step adds the minimum edge across the cut under the shared
+/// `(distance, min endpoint, max endpoint)` order: each outside vertex keeps
+/// its minimum edge to the tree (equal distances prefer the smaller tree
+/// endpoint, which for a fixed outside vertex is the smaller key), and the
+/// pick compares those edges by distance, then by `(min, max)` endpoints —
+/// so the result is the same unique MST the kd-tree engine builds.
 fn dense_prim(points: &[Point]) -> Vec<Edge> {
     let n = points.len();
     let mut in_tree = vec![false; n];
@@ -434,7 +434,8 @@ fn dense_prim(points: &[Point]) -> Vec<Edge> {
         best_from[v] = 0;
     }
     for _ in 1..n {
-        // Pick the unvisited vertex closest to the tree.
+        // Pick the unvisited vertex whose tree edge is minimal.
+        let key = |v: usize| (best_from[v].min(v), best_from[v].max(v));
         let mut pick = usize::MAX;
         for v in 0..n {
             if in_tree[v] {
@@ -442,7 +443,7 @@ fn dense_prim(points: &[Point]) -> Vec<Edge> {
             }
             if pick == usize::MAX
                 || best_dist[v] < best_dist[pick]
-                || (best_dist[v] == best_dist[pick] && v < pick)
+                || (best_dist[v] == best_dist[pick] && key(v) < key(pick))
             {
                 pick = v;
             }
@@ -501,8 +502,8 @@ pub(crate) fn kd_boruvka(points: &[Point], threads: usize) -> Vec<Edge> {
     // stays v's exact nearest foreigner for as long as it remains foreign —
     // only vertices whose candidate got absorbed re-query the tree.
     let mut cache: Vec<Option<(usize, f64)>> = vec![None; n];
-    // Vertices grouped by component so that a component's current-best
-    // distance can seed (bound) its later members' searches.
+    // Vertices grouped by component so that a component's best distance so
+    // far can bound its other members' searches.
     let mut order: Vec<usize> = (0..n).collect();
     // Round-persistent scratch, allocated once and reset through `touched`
     // instead of reallocated every round: the minimal outgoing candidate per
@@ -517,17 +518,24 @@ pub(crate) fn kd_boruvka(points: &[Point], threads: usize) -> Vec<Edge> {
             *label = uf.find(v);
         }
         order.sort_unstable_by_key(|&v| labels[v]);
-        // Scan for every vertex's candidate edge, grouped into per-run
-        // winners.  The parallel path chunks the sorted order; a component
-        // run that straddles a chunk boundary simply produces one winner per
+        // Still-foreign cached candidates cost no query: fold them into the
+        // per-root minimum first, where they bound every member's search.
+        for v in 0..n {
+            if let Some((u, d)) = cache[v].filter(|&(u, _)| labels[u] != labels[v]) {
+                offer(&mut best, &mut touched, labels[v], (d, v.min(u), v.max(u)));
+            }
+        }
+        // Query every other vertex, grouped into per-run winners.  The
+        // parallel path chunks the sorted order; a component run that
+        // straddles a chunk boundary simply produces one winner per
         // fragment, reconciled in the merge below.
         let scans: Vec<RunScan> = if threads > 1 && n >= PARALLEL_BORUVKA_MIN {
             let ranges = chunk_ranges(n, threads);
             parallel_map(&ranges, threads, |&(start, end)| {
-                scan_run(points, &tree, &labels, &cache, &order[start..end])
+                scan_run(points, &tree, &labels, &cache, &best, &order[start..end])
             })
         } else {
-            vec![scan_run(points, &tree, &labels, &cache, &order)]
+            vec![scan_run(points, &tree, &labels, &cache, &best, &order)]
         };
         for (winners, cache_updates) in scans {
             // Chunks cover disjoint vertex sets (each v appears once in
@@ -536,17 +544,7 @@ pub(crate) fn kd_boruvka(points: &[Point], threads: usize) -> Vec<Edge> {
                 cache[v] = Some(found);
             }
             for (root, candidate) in winners {
-                match &mut best[root] {
-                    Some(b) => {
-                        if edge_order(candidate, *b) == std::cmp::Ordering::Less {
-                            *b = candidate;
-                        }
-                    }
-                    slot => {
-                        touched.push(root);
-                        *slot = Some(candidate);
-                    }
-                }
+                offer(&mut best, &mut touched, root, candidate);
             }
         }
         round.clear();
@@ -580,20 +578,27 @@ type RunScan = (
     Vec<(usize, (usize, f64))>,
 );
 
-/// Scans one slice of the component-sorted vertex order for candidate edges.
+/// Queries one slice of the component-sorted vertex order for candidate
+/// edges.
 ///
-/// Within a contiguous same-root run the running best distance seeds
-/// (bounds) later members' searches — a farther point cannot win the run
-/// anyway, and points at exactly the bound are still found.  A bounded query
-/// that returns `None` merely means "cannot beat the run's best"; a `Some`
-/// is the vertex's true nearest foreigner (the bound only hides strictly
-/// farther points) and is recorded as a cache update.
+/// Every run of same-root vertices starts from `seeds[root]`, the minimum of
+/// the component's still-foreign cached candidates (those vertices need no
+/// query), and the run's best so far bounds each query: a farther point
+/// cannot win the run anyway, and points at exactly the bound are still
+/// found.  Seeding from the cache is what keeps the last rounds cheap.
+/// There a run is a huge component laid out as contiguous blocks of earlier
+/// components; scanned in that order, the blocks far from every foreign
+/// point come first, and each of their members would sweep a ball holding
+/// much of the component before the bound tightens.  A bounded query that
+/// returns `None` merely means "cannot beat the run's best"; a `Some` is the
+/// vertex's true nearest foreigner (the bound only hides strictly farther
+/// points) and is recorded as a cache update.
 ///
 /// **Chunking invariance:** splitting a component's run across chunks only
-/// weakens the seeding bounds (each fragment starts from ∞), which can make
-/// more queries return `Some` — but every `Some` is the exact per-vertex
-/// nearest foreigner, so the per-root minimum of the merged fragment winners
-/// under [`edge_order`] equals the single-scan winner.  Cache contents may
+/// weakens the bounds of the later fragments, which can make more queries
+/// return `Some` — but every `Some` is the exact per-vertex nearest
+/// foreigner, so the per-root minimum of the merged fragment winners under
+/// [`edge_order`] equals the single-scan winner.  Cache contents may
 /// likewise differ across thread counts, but a cache entry is only ever an
 /// exact nearest foreigner and is used only while still foreign, when a
 /// fresh query would return the very same pair.  Hence the merged result —
@@ -603,51 +608,51 @@ fn scan_run(
     tree: &KdIndex,
     labels: &[usize],
     cache: &[Option<(usize, f64)>],
+    seeds: &[Option<(f64, usize, usize)>],
     order: &[usize],
 ) -> RunScan {
     let mut winners: Vec<(usize, (f64, usize, usize))> = Vec::new();
     let mut cache_updates: Vec<(usize, (usize, f64))> = Vec::new();
-    // The current contiguous run's root and its best candidate so far.
-    let mut current: Option<(usize, (f64, usize, usize))> = None;
-    for &v in order {
-        let root = labels[v];
-        let bound = match current {
-            Some((r, (d, _, _))) if r == root => d,
-            _ => {
-                // A new run begins: flush the finished one.
-                if let Some(done) = current.take() {
-                    winners.push(done);
-                }
-                f64::INFINITY
+    for run in order.chunk_by(|&a, &b| labels[a] == labels[b]) {
+        let root = labels[run[0]];
+        let mut best = seeds[root];
+        for &v in run {
+            if cache[v].is_some_and(|(u, _)| labels[u] != root) {
+                continue; // already folded into the seed
             }
-        };
-        let candidate = match cache[v] {
-            Some((u, d)) if labels[u] != root => Some((u, d)),
-            _ => {
-                let found = tree.nearest_foreign_within(points, &points[v], labels, root, bound);
-                if let Some(f) = found {
-                    cache_updates.push((v, f));
-                }
-                found
+            let bound = best.map_or(f64::INFINITY, |(d, _, _)| d);
+            if let Some((u, d)) =
+                tree.nearest_foreign_within(points, &points[v], labels, root, bound)
+            {
+                cache_updates.push((v, (u, d)));
+                keep_min(&mut best, (d, v.min(u), v.max(u)));
             }
-        };
-        let Some((u, d)) = candidate else {
-            continue;
-        };
-        let candidate = (d, v.min(u), v.max(u));
-        match &mut current {
-            Some((r, b)) if *r == root => {
-                if edge_order(candidate, *b) == std::cmp::Ordering::Less {
-                    *b = candidate;
-                }
-            }
-            _ => current = Some((root, candidate)),
         }
-    }
-    if let Some(done) = current {
-        winners.push(done);
+        winners.extend(best.map(|b| (root, b)));
     }
     (winners, cache_updates)
+}
+
+/// Replaces `best` by `candidate` when the candidate precedes it under
+/// [`edge_order`] (or nothing was kept yet).
+pub(crate) fn keep_min(best: &mut Option<(f64, usize, usize)>, candidate: (f64, usize, usize)) {
+    if best.is_none_or(|b| edge_order(candidate, b) == std::cmp::Ordering::Less) {
+        *best = Some(candidate);
+    }
+}
+
+/// Folds `candidate` into the per-root minimum `best[root]`, recording the
+/// root in `touched` on its first write of the round.
+pub(crate) fn offer(
+    best: &mut [Option<(f64, usize, usize)>],
+    touched: &mut Vec<usize>,
+    root: usize,
+    candidate: (f64, usize, usize),
+) {
+    if best[root].is_none() {
+        touched.push(root);
+    }
+    keep_min(&mut best[root], candidate);
 }
 
 /// The tie-broken total order on candidate edges shared by both engines.
@@ -927,6 +932,28 @@ mod tests {
             let parallel_edges: Vec<_> = parallel.edges().iter().map(key).collect();
             assert_eq!(serial_edges, parallel_edges, "threads={threads}");
             assert_eq!(serial.lmax().to_bits(), parallel.lmax().to_bits());
+        }
+    }
+
+    /// Lattice sizes 3×3 … 30×30 in shuffled index order: every edge weight
+    /// ties, so any tie-break other than the shared `(weight, min, max)`
+    /// order makes the engines pick different trees.
+    #[test]
+    fn engines_build_the_same_tree_on_shuffled_lattices() {
+        let mut rng = StdRng::seed_from_u64(0x1A77);
+        for side in 3..=30usize {
+            let mut pts: Vec<Point> = (0..side * side)
+                .map(|i| Point::new((i % side) as f64, (i / side) as f64))
+                .collect();
+            for i in (1..pts.len()).rev() {
+                pts.swap(i, rng.random_range(0..=i));
+            }
+            let dense = EuclideanMst::build_with_engine(&pts, MstEngine::DensePrim).unwrap();
+            let kd = EuclideanMst::build_with_engine(&pts, MstEngine::KdTreeBoruvka).unwrap();
+            let key = |e: &Edge| (e.u, e.v, e.weight.to_bits());
+            let dense_edges: Vec<_> = dense.edges().iter().map(key).collect();
+            let kd_edges: Vec<_> = kd.edges().iter().map(key).collect();
+            assert_eq!(dense_edges, kd_edges, "{side}×{side} lattice");
         }
     }
 

@@ -27,12 +27,10 @@ pub mod dynamic;
 pub mod euclidean;
 pub mod graph;
 pub mod mst;
-pub mod properties;
 pub mod reference;
 pub mod rooted;
 pub mod scc;
 pub mod sharded;
-pub mod shortest_path;
 pub mod traversal;
 pub mod union_find;
 

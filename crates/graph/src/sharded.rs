@@ -37,7 +37,8 @@
 //! workloads across tile sizes and thread counts.
 
 use crate::euclidean::{
-    edge_order, kd_boruvka, EmstError, EuclideanMst, MstEngine, PARALLEL_BORUVKA_MIN,
+    edge_order, kd_boruvka, keep_min, offer, EmstError, EuclideanMst, MstEngine,
+    PARALLEL_BORUVKA_MIN,
 };
 use crate::graph::Edge;
 use crate::union_find::UnionFind;
@@ -149,36 +150,30 @@ pub fn build_sharded(
             *label = uf.find(v);
         }
         order.sort_unstable_by_key(|&v| labels[v]);
+        // (a) Tile-tree edges leaving a component need no query: fold them
+        // into the per-root minimum first, where they bound every member's
+        // cross-tile search.
+        for (v, adj) in tile_adj.iter().enumerate() {
+            for &(u, w) in adj {
+                let u = u as usize;
+                if labels[u] != labels[v] {
+                    offer(&mut best, &mut touched, labels[v], (w, v.min(u), v.max(u)));
+                }
+            }
+        }
         let scans: Vec<Vec<StitchCandidate>> = if threads > 1 && n >= PARALLEL_BORUVKA_MIN {
             let ranges = chunk_ranges(n, threads);
             parallel_map(&ranges, threads, |&(start, end)| {
-                stitch_scan(
-                    points,
-                    &index,
-                    &labels,
-                    &tile_of,
-                    &tile_adj,
-                    &order[start..end],
-                )
+                stitch_scan(points, &index, &labels, &tile_of, &best, &order[start..end])
             })
         } else {
             vec![stitch_scan(
-                points, &index, &labels, &tile_of, &tile_adj, &order,
+                points, &index, &labels, &tile_of, &best, &order,
             )]
         };
         for winners in scans {
             for (root, candidate) in winners {
-                match &mut best[root] {
-                    Some(b) => {
-                        if edge_order(candidate, *b) == std::cmp::Ordering::Less {
-                            *b = candidate;
-                        }
-                    }
-                    slot => {
-                        touched.push(root);
-                        *slot = Some(candidate);
-                    }
-                }
+                offer(&mut best, &mut touched, root, candidate);
             }
         }
         round.clear();
@@ -218,70 +213,41 @@ pub fn build_sharded(
 
 /// One stitch round's scan over a slice of the component-sorted vertex
 /// order: per contiguous same-root run, the minimum outgoing `H` edge among
-/// (a) the run members' tile-tree edges leaving the component and (b) each
-/// member's nearest cross-tile foreign point, queried with the run's
-/// current best distance as an inclusive bound (exactly the seeding the
-/// global engine's `scan_run` uses, with the same chunking-invariance
-/// argument: fragment winners merge to the same per-root minimum).
+/// (a) the component's tile-tree edges leaving it, already folded into
+/// `seeds[root]`, and (b) each member's nearest cross-tile foreign point,
+/// queried with the run's best distance so far as an inclusive bound
+/// (exactly the seeding the global engine's `scan_run` uses, with the same
+/// chunking-invariance argument: fragment winners merge to the same
+/// per-root minimum).
 fn stitch_scan(
     points: &[Point],
     index: &KdIndex,
     labels: &[usize],
     tile_of: &[u32],
-    tile_adj: &[Vec<(u32, f64)>],
+    seeds: &[Option<(f64, usize, usize)>],
     order: &[usize],
 ) -> Vec<StitchCandidate> {
     let mut winners: Vec<StitchCandidate> = Vec::new();
-    let mut current: Option<(usize, (f64, usize, usize))> = None;
-    for &v in order {
-        let root = labels[v];
-        match current {
-            Some((r, _)) if r == root => {}
-            _ => {
-                if let Some(done) = current.take() {
-                    winners.push(done);
-                }
+    for run in order.chunk_by(|&a, &b| labels[a] == labels[b]) {
+        let root = labels[run[0]];
+        let mut best = seeds[root];
+        for &v in run {
+            // The bound is inclusive (points at exactly the bound are still
+            // reported), so an equal-distance candidate with a smaller edge
+            // key is never hidden; `None` only ever means "strictly farther".
+            let bound = best.map_or(f64::INFINITY, |(d, _, _)| d);
+            let tile = tile_of[v];
+            let found = index.nearest_filtered_within(
+                points,
+                &points[v],
+                |u| tile_of[u] == tile || labels[u] == root,
+                bound,
+            );
+            if let Some((u, d)) = found {
+                keep_min(&mut best, (d, v.min(u), v.max(u)));
             }
         }
-        let mut local_best: Option<(f64, usize, usize)> = match current {
-            Some((r, b)) if r == root => Some(b),
-            _ => None,
-        };
-        // (a) tile-tree edges leaving the component.
-        for &(u, w) in &tile_adj[v] {
-            let u = u as usize;
-            if labels[u] == root {
-                continue;
-            }
-            let candidate = (w, v.min(u), v.max(u));
-            if local_best.is_none_or(|b| edge_order(candidate, b) == std::cmp::Ordering::Less) {
-                local_best = Some(candidate);
-            }
-        }
-        // (b) nearest cross-tile foreign point, bounded by the best so far.
-        // The bound is inclusive (points at exactly the bound are still
-        // reported), so an equal-distance candidate with a smaller edge key
-        // is never hidden; `None` only ever means "strictly farther".
-        let bound = local_best.map_or(f64::INFINITY, |(d, _, _)| d);
-        let tile = tile_of[v];
-        let found = index.nearest_filtered_within(
-            points,
-            &points[v],
-            |u| tile_of[u] == tile || labels[u] == root,
-            bound,
-        );
-        if let Some((u, d)) = found {
-            let candidate = (d, v.min(u), v.max(u));
-            if local_best.is_none_or(|b| edge_order(candidate, b) == std::cmp::Ordering::Less) {
-                local_best = Some(candidate);
-            }
-        }
-        if let Some(b) = local_best {
-            current = Some((root, b));
-        }
-    }
-    if let Some(done) = current {
-        winners.push(done);
+        winners.extend(best.map(|b| (root, b)));
     }
     winners
 }

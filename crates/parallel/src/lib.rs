@@ -172,7 +172,12 @@ pub const DEFAULT_THREAD_CAP: usize = 8;
 /// from the outside).  Otherwise the machine's available parallelism is
 /// used, capped at [`DEFAULT_THREAD_CAP`].  A malformed or zero override is
 /// ignored rather than honoured as nonsense.
+///
+/// The override is read on every call; the machine's parallelism is probed
+/// once per process, because on Linux the probe reads cgroup files (~25 µs
+/// a call — as much as building a small deployment).
 pub fn default_threads() -> usize {
+    static AVAILABLE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     if let Ok(raw) = std::env::var("ANTENNAE_THREADS") {
         if let Ok(n) = raw.trim().parse::<usize>() {
             if n >= 1 {
@@ -180,10 +185,12 @@ pub fn default_threads() -> usize {
             }
         }
     }
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(DEFAULT_THREAD_CAP)
+    let available = *AVAILABLE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    });
+    available.min(DEFAULT_THREAD_CAP)
 }
 
 #[cfg(test)]

@@ -139,7 +139,7 @@ pub struct Snapshot {
     /// The last repaired verification verdict.
     pub report: VerificationReport,
     /// The shard grid backing the tenant as `(tiles_x, tiles_y)`, `None`
-    /// when the tenant runs on the global (unsharded) engine.
+    /// when the tenant is unsharded (one tile).
     pub shard_grid: Option<(usize, usize)>,
     /// Occupied tiles at the last repair (`None` when unsharded).
     pub shard_occupied: Option<usize>,
@@ -660,8 +660,8 @@ impl Registry {
     }
 
     /// Creates and registers a deployment, optionally with a durable write
-    /// handle, sharding its spatial substrate per `spec` (bit-exact to the
-    /// unsharded engine — a pure cost knob).  The initial solve runs
+    /// handle, sharding its spatial substrate per `spec` (bit-exact to one
+    /// tile — a pure cost knob).  The initial solve runs
     /// *outside* the map's write lock; only the name reservation is
     /// serialized.  On any error the `wal` handle is dropped (closing its
     /// file cleanly); removing the tenant's directory is the caller's

@@ -148,11 +148,14 @@ impl Server {
             let addr = self.addr;
             let shed_stream = Arc::clone(&stream);
             let outcome = pool.try_submit(move || {
-                serve_connection(&service, &stream);
-                // If this connection carried the SHUTDOWN (or closed during
-                // a drain), poke the listener so the blocking `accept`
-                // observes the flag without waiting for an outside caller.
-                if service.shutdown_requested() {
+                // The connection that carried the SHUTDOWN pokes the
+                // listener so the blocking `accept` observes the flag
+                // without waiting for an outside caller.  Only that one, and
+                // only once its answer is flushed: the accept loop then
+                // force-closes every connection, so a poke from any other
+                // connection (say one that just closed) could cut the
+                // SHUTDOWN answer off mid-WAL-sync.
+                if serve_connection(&service, &stream) {
                     let _ = TcpStream::connect(addr);
                 }
             });
@@ -173,9 +176,9 @@ impl Server {
                 let _ = (&*shed_stream).write_all(line.as_bytes());
                 let _ = shed_stream.shutdown(Shutdown::Both);
             }
-            if self.service.shutdown_requested() {
-                break;
-            }
+            // No shutdown check here: the connection just submitted may be
+            // the one answering SHUTDOWN, and it pokes the listener once its
+            // answer is out.
         }
         // Kick every worker out of its blocking read so the pool can drain.
         for weak in connections
@@ -255,7 +258,8 @@ impl Drop for ServerHandle {
 }
 
 /// Serves one connection: read lines, answer lines, until EOF, an oversized
-/// line, or a fatal socket error.
+/// line, or a fatal socket error.  Returns `true` when this connection's
+/// request started the shutdown.
 ///
 /// Pipelining: a client that writes a burst of request lines before reading
 /// gets the whole burst's responses in one coalesced socket write — after
@@ -265,10 +269,11 @@ impl Drop for ServerHandle {
 /// line is followed by an empty buffer), while a pipelined burst of `m`
 /// requests pays one syscall instead of `m` (measured by the `serve` bench's
 /// pipelined sweep).
-fn serve_connection(service: &Service, stream: &TcpStream) {
+fn serve_connection(service: &Service, stream: &TcpStream) -> bool {
     let mut writer = BufWriter::with_capacity(64 * 1024, stream);
     let mut lines = LineReader::new(stream);
     let mut conn = service.new_conn();
+    let mut started_shutdown = false;
     'conn: loop {
         // Block for the first line of the next burst.
         let mut next = match lines.next_line() {
@@ -291,18 +296,20 @@ fn serve_connection(service: &Service, stream: &TcpStream) {
                     .stats()
                     .timed_out_connections
                     .fetch_add(1, Ordering::Relaxed);
-                return;
+                return false;
             }
-            Err(LineError::Io) => return,
+            Err(LineError::Io) => return false,
         };
         while let Some(line) = next {
+            let running = !service.shutdown_requested();
             let response = service.handle_line_on(&line, &mut conn);
+            started_shutdown = running && service.shutdown_requested();
             if writer
                 .write_all(response.as_bytes())
                 .and_then(|()| writer.write_all(b"\n"))
                 .is_err()
             {
-                return;
+                return started_shutdown;
             }
             // Draining: once shutdown is requested, answer the request in
             // flight and close — don't hold a worker for a client that can
@@ -313,10 +320,11 @@ fn serve_connection(service: &Service, stream: &TcpStream) {
             next = lines.buffered_line();
         }
         if writer.flush().is_err() {
-            return;
+            return false;
         }
     }
     let _ = writer.flush();
+    started_shutdown
 }
 
 enum LineError {

@@ -91,8 +91,8 @@ pub struct Service {
     /// When set, caps each tenant's buffered-edit queue: `EDIT` beyond the
     /// cap is rejected with `overloaded` until a repair drains the buffer.
     tenant_quota: Option<usize>,
-    /// Spatial-sharding policy applied to every tenant at creation and
-    /// recovery (bit-exact to the global engine; a pure cost knob).
+    /// Spatial-sharding policy applied to every tenant at creation
+    /// (bit-exact to the one-tile index; a pure cost knob).
     shard_spec: ShardSpec,
 }
 
@@ -103,47 +103,30 @@ impl Service {
     }
 
     /// Opens a durable service over `store`'s data directory: every tenant
-    /// directory is recovered into a live session (snapshot + salvaged WAL
-    /// tail, one coalesced replay each) and re-registered, and every
-    /// subsequent `CREATE`/`EDIT`/`DROP` is logged.  Structurally broken
-    /// tenant directories are skipped (reported in the
+    /// directory is recovered into a live session (one bulk build of the
+    /// snapshot + one coalesced replay of the salvaged WAL tail each) and
+    /// re-registered, and every subsequent `CREATE`/`EDIT`/`DROP` is logged.
+    /// Recovered and created tenants alike shard per the store's
+    /// [`StoreConfig::shards`](antennae_store::StoreConfig::shards).
+    /// Structurally broken tenant directories are skipped (reported in the
     /// [`RecoveryReport`]), torn log tails are truncated — boot never
     /// panics on bad bytes.
     pub fn open_durable(store: Store) -> std::io::Result<(Self, RecoveryReport)> {
-        Self::open_durable_sharded(store, ShardSpec::default())
-    }
-
-    /// [`Service::open_durable`] with an explicit sharding policy: recovered
-    /// tenants are re-tiled under `spec` after their WAL replay (replay
-    /// always rebuilds on the global engine), and every later `CREATE`
-    /// shards under the same policy.  Sharding is bit-exact, so the policy
-    /// never changes what a recovered tenant answers — only what its edits
-    /// cost.
-    pub fn open_durable_sharded(
-        store: Store,
-        spec: ShardSpec,
-    ) -> std::io::Result<(Self, RecoveryReport)> {
+        let recovery = store.recover()?;
         let service = Service {
+            shard_spec: store.config().shards,
             store: Some(store),
-            shard_spec: spec,
             ..Service::default()
         };
-        let recovery = service
-            .store
-            .as_ref()
-            .expect("store was just installed")
-            .recover()?;
         let mut report = RecoveryReport::default();
         for tenant in recovery.tenants {
             if tenant.wal_tail != WalTail::Clean {
                 report.truncated_tails += 1;
                 report.lost_bytes += tenant.lost_bytes;
             }
-            let mut session = tenant.session;
-            session.set_shard_spec(spec);
             match service
                 .registry
-                .install_recovered(&tenant.name, session, tenant.wal)
+                .install_recovered(&tenant.name, tenant.session, tenant.wal)
             {
                 Ok(_) => report.recovered.push(tenant.name),
                 Err(e) => report.skipped.push((tenant.name, e.message)),
@@ -179,9 +162,9 @@ impl Service {
     }
 
     /// Sets the sharding policy for tenants created from now on (the
-    /// `--shards auto|N|off` flag).  Set before the service is shared; for
-    /// durable boots prefer [`Service::open_durable_sharded`] so recovered
-    /// tenants are re-tiled too.
+    /// `--shards auto|N|off` flag).  Set before the service is shared; a
+    /// durable service takes it from its store's configuration, which
+    /// recovery builds with too.
     pub fn set_shard_spec(&mut self, spec: ShardSpec) {
         self.shard_spec = spec;
     }

@@ -1,10 +1,10 @@
-//! EXP-SHARD-CHURN: sharded vs. global dynamic engines on identical traces.
+//! EXP-SHARD-CHURN: sharded vs. one-tile dynamic engines on identical traces.
 //!
-//! The spatial-sharding layer promises two things: per-edit repair confined
-//! to the owning tile (cost), and **bit-exactness** to the global engine
-//! (semantics).  This experiment measures both at once.  Each cell replays
-//! one deterministic [`churn_trace`] through *two* sessions over the same
-//! initial deployment — one on the global kd-tree
+//! The spatial-sharding layer promises two things: tile-sized index work per
+//! edit (cost), and **bit-exactness** to the unsharded engine (semantics).
+//! This experiment measures both at once.  Each cell replays one
+//! deterministic [`churn_trace`] through *two* sessions over the same
+//! initial deployment — one on a one-tile index
 //! ([`DynamicInstance::new`]), one on a per-tile forest
 //! ([`DynamicInstance::new_sharded`]) — applying the identical edit to both
 //! and recording:

@@ -27,13 +27,15 @@ use crate::snapshot::{read_snapshot, SnapshotReadOutcome, SnapshotState};
 use crate::vfs::{RealVfs, Vfs};
 use crate::wal::{read_wal, SyncPolicy, WalRecord, WalTail, WalWriter};
 use antennae_core::dynamic::{DynamicSolverSession, Edit, SensorId};
+use antennae_core::shard::ShardSpec;
 use antennae_core::AntennaBudget;
 use antennae_geometry::Point;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Tuning for a [`Store`]: how hard the WAL syncs and when it compacts.
+/// Tuning for a [`Store`]: how hard the WAL syncs, when it compacts, and
+/// how the tenants it rebuilds are sharded.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreConfig {
     /// When appended records are fsynced (see [`SyncPolicy`]).
@@ -42,6 +44,10 @@ pub struct StoreConfig {
     pub compact_records: u64,
     /// Compact once the current log holds at least this many bytes.
     pub compact_bytes: u64,
+    /// The shard spec every tenant is built with — by [`Store::recover`],
+    /// and by a durable service for `CREATE` (the orientd `--shards` flag).
+    /// Bit-exact either way; it only sets what edits cost.
+    pub shards: ShardSpec,
 }
 
 impl Default for StoreConfig {
@@ -50,6 +56,7 @@ impl Default for StoreConfig {
             sync: SyncPolicy::EveryN(32),
             compact_records: 1024,
             compact_bytes: 1 << 20,
+            shards: ShardSpec::default(),
         }
     }
 }
@@ -377,9 +384,10 @@ impl Store {
     }
 
     /// Walks every tenant directory and rebuilds each into a live session:
-    /// snapshot (if any) + salvaged current-epoch log tail, replayed
+    /// one bulk build of the snapshot (if any) sharded per
+    /// [`StoreConfig::shards`], then the salvaged current-epoch log tail
     /// through **one** coalesced repair
-    /// ([`DynamicSolverSession::replay`]).  Torn/corrupt tails are
+    /// ([`DynamicSolverSession::replay_sharded`]).  Torn/corrupt tails are
     /// truncated, stale-epoch logs and leftover `snapshot.tmp` files are
     /// swept, and unrecoverable tenants land in [`Recovery::skipped`]
     /// rather than failing the call.
@@ -479,8 +487,10 @@ impl Store {
         }
         let salvaged_records = (tail.len() + usize::from(snapshot.is_none())) as u64;
 
-        // 5. One coalesced replay.
-        let session = match DynamicSolverSession::replay(budget, &base, next_id, &tail) {
+        // 5. One bulk build plus one coalesced tail repair.
+        let replayed =
+            DynamicSolverSession::replay_sharded(budget, &base, next_id, &tail, self.config.shards);
+        let session = match replayed {
             Ok(session) => session,
             Err(e) => return Ok(Err(format!("replay failed: {e}"))),
         };

@@ -104,17 +104,19 @@ echo "orientd smoke OK (port $PORT, auth + clean shutdown)"
 # Durable recovery smoke: the same binary with --data-dir must carry a
 # deployment across a full process restart — write, SHUTDOWN, reboot on the
 # same directory, and answer QUERY/VERIFY for the recovered tenant.  The
-# crash-grade variants (SIGKILL mid-burst, torn tails) live in
-# tests/durable_recovery.rs and tests/durability_oracle.rs; this step pins
-# the operational happy path end to end, flags included.
-echo "== orientd durable recovery smoke (write -> SHUTDOWN -> restart -> QUERY) =="
+# restart adds --shards 2: recovery builds the tenant on a 2x2 grid, and the
+# answers must not change.  The crash-grade variants (SIGKILL mid-burst,
+# torn tails) live in tests/durable_recovery.rs and
+# tests/durability_oracle.rs; this step pins the operational happy path end
+# to end, flags included.
+echo "== orientd durable recovery smoke (write -> SHUTDOWN -> restart --shards 2 -> QUERY) =="
 DURABLE_DIR="$(mktemp -d)"
 DURABLE_LOG="$(mktemp)"
 trap 'kill "$ORIENTD_PID" 2>/dev/null || true; rm -rf "$DURABLE_DIR"; rm -f "$DURABLE_LOG"' EXIT
 
 durable_boot() {
     ./target/release/orientd --listen 127.0.0.1:0 --threads 2 --print-port \
-        --data-dir "$DURABLE_DIR" --sync every-n=4 > "$DURABLE_LOG" 2>&1 &
+        --data-dir "$DURABLE_DIR" --sync every-n=4 "$@" > "$DURABLE_LOG" 2>&1 &
     ORIENTD_PID=$!
     PORT=""
     for _ in $(seq 1 50); do
@@ -144,10 +146,13 @@ durable_request "SHUTDOWN"
 exec 3<&- 3>&-
 wait "$ORIENTD_PID" || { echo "durable orientd exited non-zero" >&2; exit 1; }
 
-durable_boot
+durable_boot --shards 2
 grep -q "recovered 1 deployment" "$DURABLE_LOG" \
     || { echo "restart did not report a recovered deployment:" >&2; cat "$DURABLE_LOG" >&2; exit 1; }
 exec 3<>"/dev/tcp/127.0.0.1/$PORT"
+durable_request "STATS persisted"
+[[ "$DURABLE_REPLY" == *" shards=2x2 "* ]] \
+    || { echo "recovery did not build on the --shards 2 grid: $DURABLE_REPLY" >&2; exit 1; }
 durable_request "QUERY persisted"
 AFTER_RESTART="$DURABLE_REPLY"
 # revision is a per-process repair counter; everything else must match.

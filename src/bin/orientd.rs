@@ -36,8 +36,9 @@
 //! * `--shards auto|N|off` — spatial sharding for every deployment
 //!   (created or recovered), default `auto`: large deployments get a
 //!   per-tile kd/MST forest so one edit repairs inside its ~10³-point
-//!   tile.  `N` forces an N×N tile grid, `off` keeps the global engines.
-//!   Bit-exact either way — the flag only changes what edits cost.
+//!   tile.  `N` forces an N×N tile grid, `off` keeps every deployment on
+//!   one tile.  Bit-exact either way — the flag only changes what edits
+//!   and recovery cost.
 //!
 //! Unknown or malformed flags exit with status 2 and print the usage line
 //! to stderr.  The process exits cleanly after a `SHUTDOWN` request.
@@ -164,6 +165,7 @@ fn main() -> ExitCode {
         Some(dir) => {
             let config = StoreConfig {
                 sync: args.sync.unwrap_or_default(),
+                shards: args.shards,
                 ..StoreConfig::default()
             };
             let store = match Store::open(dir, config) {
@@ -173,7 +175,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            match Service::open_durable_sharded(store, args.shards) {
+            match Service::open_durable(store) {
                 Ok((service, report)) => {
                     for (name, reason) in &report.skipped {
                         eprintln!("orientd: skipped tenant {name:?}: {reason}");

@@ -460,7 +460,7 @@ fn seeded_fault_scripts_preserve_every_acknowledged_edit() {
         let config = StoreConfig {
             sync: SyncPolicy::Always,
             compact_records: 24, // force compactions under fire
-            compact_bytes: 1 << 20,
+            ..StoreConfig::default()
         };
         let (svc, vfs) = open_with_faults(&root, config, FaultScript::seeded(seed, 10, 200));
         let name = "sweep";

@@ -172,7 +172,7 @@ fn compaction_is_transparent_to_recovery() {
     let config = StoreConfig {
         sync: SyncPolicy::EveryN(4),
         compact_records: 12, // force several compactions mid-script
-        compact_bytes: 1 << 20,
+        ..StoreConfig::default()
     };
     {
         let (svc, _) = open(&root, config);

@@ -9,7 +9,8 @@
 //! verification report, which inherit bit-equality from the substrate.
 //!
 //! Dynamic side: a [`DynamicInstance::new_sharded`] deployment under an edit
-//! script against the unsharded engine applying the same script, compared
+//! script against the unsharded one — [`ShardSpec::Off`], the one-tile index
+//! running the same bounded-star insert — applying the same script, compared
 //! after **every** edit (including moves that cross tile boundaries and
 //! drain/regrow sequences).  The property test fuzzes random scripts whose
 //! moves are drawn across the whole bounding box, so boundary crossings are
