@@ -10,8 +10,8 @@ use antennae_bench::workloads::uniform_instance;
 use antennae_core::antenna::AntennaBudget;
 use antennae_core::batch::BatchOrienter;
 use antennae_core::instance::Instance;
-use antennae_core::parallel::default_threads;
 use antennae_geometry::TAU;
+use antennae_parallel::default_threads;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 

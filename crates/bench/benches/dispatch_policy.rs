@@ -9,10 +9,10 @@
 //! pure policy overhead.
 
 use antennae_bench::workloads::uniform_instance;
-use antennae_core::parallel::default_threads;
 use antennae_core::solver::{SelectionPolicy, Solver};
 use antennae_geometry::PI;
 use antennae_graph::RootedTree;
+use antennae_parallel::default_threads;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 

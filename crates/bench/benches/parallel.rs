@@ -7,7 +7,7 @@
 //! slots of the output vector's spare capacity (one claim per chunk).  The
 //! heavy group checks that coarse items still scale.
 
-use antennae_core::parallel::{default_threads, parallel_map};
+use antennae_parallel::{default_threads, parallel_map};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 

@@ -25,7 +25,7 @@
 
 use antennae_bench::workloads::uniform_points;
 use antennae_core::bounds::theorem2_spread_threshold;
-use antennae_core::parallel::{default_threads, parallel_map};
+use antennae_parallel::{default_threads, parallel_map};
 use antennae_serve::{LocalClient, Service};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

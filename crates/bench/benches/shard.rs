@@ -1,12 +1,11 @@
-//! Spatial-sharding prices: per-tile kd/MST forests vs one tile.  The
-//! `global` ids are [`ShardSpec::Off`]: the global static build and a
-//! one-tile dynamic index.
+//! Spatial-sharding prices: a per-tile dynamic kd forest vs one tile.  The
+//! `one_tile` ids are [`ShardSpec::Off`]; the `sharded` ids are
+//! [`ShardSpec::Auto`].  Both build their MST with the same global engine
+//! (`mst_scaling` times that build), so only the index edits query differs.
 //!
-//! Three comparisons, all against bit-identical outputs (the shard oracle
+//! Two comparisons, both against bit-identical outputs (the shard oracle
 //! pins exactness, this bench prices it):
 //!
-//! * `shard/static_build` — building the MST substrate from scratch,
-//!   globally vs shard-by-shard with the boundary stitch.
 //! * `shard/edit_repair` — one `Move` edit through the MST substrate
 //!   ([`DynamicInstance::move_sensor`]) at n = 10⁵.  Both grids run the same
 //!   bounded-star attach + lockstep reconnection; the sharded one keeps
@@ -21,36 +20,15 @@ use antennae_bench::workloads::uniform_points;
 use antennae_core::antenna::AntennaBudget;
 use antennae_core::bounds::theorem2_spread_threshold;
 use antennae_core::dynamic::{DynamicInstance, DynamicSolverSession, Edit};
-use antennae_core::instance::Instance;
-use antennae_core::shard::{ShardSpec, ShardedInstance};
+use antennae_core::shard::ShardSpec;
 use antennae_geometry::Point;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-const STATIC_N: usize = 20_000;
 const EDIT_N: usize = 100_000;
 
 fn theorem2_budget() -> AntennaBudget {
     AntennaBudget::new(2, theorem2_spread_threshold(2))
-}
-
-fn bench_static_build(c: &mut Criterion) {
-    let points = uniform_points(STATIC_N, 7);
-    let mut group = c.benchmark_group("shard/static_build");
-    group.bench_function(BenchmarkId::new("global", STATIC_N), |b| {
-        b.iter(|| {
-            let inst = Instance::new(black_box(points.clone())).expect("non-empty");
-            black_box(inst.lmax())
-        })
-    });
-    group.bench_function(BenchmarkId::new("sharded", STATIC_N), |b| {
-        b.iter(|| {
-            let built =
-                ShardedInstance::build(black_box(&points), ShardSpec::Auto).expect("non-empty");
-            black_box(built.instance().lmax())
-        })
-    });
-    group.finish();
 }
 
 /// One `Move` edit per iteration against the bare MST substrate: a
@@ -60,7 +38,7 @@ fn bench_static_build(c: &mut Criterion) {
 fn bench_edit_repair(c: &mut Criterion) {
     let points = uniform_points(EDIT_N, 11);
     let mut group = c.benchmark_group("shard/edit_repair");
-    for (label, spec) in [("global", ShardSpec::Off), ("sharded", ShardSpec::Auto)] {
+    for (label, spec) in [("one_tile", ShardSpec::Off), ("sharded", ShardSpec::Auto)] {
         let mut inst = DynamicInstance::new_sharded(&points, spec).expect("non-empty");
         let id = EDIT_N / 2;
         let home = inst.point(id).expect("live id");
@@ -85,7 +63,7 @@ fn bench_session_edit(c: &mut Criterion) {
     let points = uniform_points(EDIT_N, 11);
     let mut group = c.benchmark_group("shard/session_edit");
     group.sample_size(20);
-    for (label, spec) in [("global", ShardSpec::Off), ("sharded", ShardSpec::Auto)] {
+    for (label, spec) in [("one_tile", ShardSpec::Off), ("sharded", ShardSpec::Auto)] {
         let inst = DynamicInstance::new_sharded(&points, spec).expect("non-empty");
         let mut session = DynamicSolverSession::new(inst, theorem2_budget()).expect("valid budget");
         let id = EDIT_N / 2;
@@ -104,10 +82,5 @@ fn bench_session_edit(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_static_build,
-    bench_edit_repair,
-    bench_session_edit
-);
+criterion_group!(benches, bench_edit_repair, bench_session_edit);
 criterion_main!(benches);

@@ -6,8 +6,8 @@ use antennae_core::instance::Instance;
 use antennae_core::solver::Solver;
 use antennae_core::verify::verify;
 use antennae_geometry::PI;
+use antennae_parallel::parallel_map;
 use antennae_sim::generators::PointSetGenerator;
-use antennae_sim::sweep::parallel_map;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 

@@ -21,11 +21,11 @@
 //!   row and the folklore `k = 5` result).
 //! * [`hamiltonian`] / [`one_antenna`] — the single-antenna baselines of
 //!   rows 1–3 of Table 1.
-//! * [`dispatch`] — picks the best applicable algorithm for a `(k, φ_k)`
-//!   budget and reports the guaranteed radius.
+//!
+//! [`crate::solver::Solver`] picks among them for a `(k, φ_k)` budget and
+//! reports the guaranteed radius.
 
 pub mod chains;
-pub mod dispatch;
 pub mod hamiltonian;
 pub mod lemma1;
 pub mod one_antenna;

@@ -13,9 +13,9 @@ use crate::antenna::SensorAssignment;
 use crate::bounds::theorem2_spread_threshold;
 use crate::error::OrientError;
 use crate::instance::Instance;
-use crate::parallel::{chunk_ranges, default_threads, parallel_map};
 use crate::scheme::OrientationScheme;
 use antennae_geometry::Point;
+use antennae_parallel::{chunk_ranges, default_threads, parallel_map};
 
 /// Smallest instance for which the per-vertex Lemma-1 sweep is fanned out;
 /// below this the thread-scope setup costs more than the whole sweep.

@@ -7,9 +7,9 @@
 //! it the Euclidean MST, the single most expensive step of the whole stack —
 //! once per call.  The batch types hoist that cost out of the loop: each
 //! instance (and its degree-5 MST) is built exactly once, then every solve
-//! runs against it in parallel through [`crate::parallel::parallel_map`]
-//! (the same primitive the simulation crate's sweeps use, re-exported there
-//! as `antennae_sim::sweep`).  Both types accept a
+//! runs against it in parallel through [`antennae_parallel::parallel_map`]
+//! (the same primitive the simulation crate's sweeps use).  Both types
+//! accept a
 //! [`SelectionPolicy`], so a whole grid can be solved under
 //! [`SelectionPolicy::Portfolio`] as easily as under the default
 //! [`SelectionPolicy::BestGuarantee`].
@@ -17,10 +17,10 @@
 use crate::antenna::AntennaBudget;
 use crate::error::OrientError;
 use crate::instance::Instance;
-use crate::parallel::{default_threads, parallel_map};
 use crate::solver::{OrientationOutcome, Registry, SelectionPolicy, Solver, VerifiedOutcome};
 use crate::verify::VerificationEngine;
 use antennae_geometry::Point;
+use antennae_parallel::{default_threads, parallel_map};
 use std::sync::Arc;
 
 /// Orients many antenna budgets against one sensor deployment, building the
@@ -159,21 +159,6 @@ impl BatchOrienter {
                 .map(|outcome| VerifiedOutcome::from_session(outcome, &session, Some(*budget)))
         })
     }
-
-    /// Orients one `budget` against many prebuilt instances.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `InstanceBatch::new(instances).with_threads(threads).orient(budget)`"
-    )]
-    pub fn orient_instances(
-        instances: &[Instance],
-        budget: AntennaBudget,
-        threads: usize,
-    ) -> Vec<Result<OrientationOutcome, OrientError>> {
-        InstanceBatch::new(instances)
-            .with_threads(threads)
-            .orient(budget)
-    }
 }
 
 /// Orients budgets against many prebuilt instances — the
@@ -181,7 +166,7 @@ impl BatchOrienter {
 ///
 /// Instances are borrowed, so their MST substrates stay shared with the
 /// caller; every `(instance, budget)` solve fans out over
-/// [`crate::parallel::parallel_map`] under the configured policy.
+/// [`antennae_parallel::parallel_map`] under the configured policy.
 ///
 /// # Examples
 ///
@@ -429,24 +414,6 @@ mod tests {
             let outcome = outcome.unwrap();
             let report = verify_with_budget(instance, &outcome.scheme, Some(budget));
             assert!(report.is_valid(), "{:?}", report.violations);
-        }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_orient_instances_shim_matches_instance_batch() {
-        let instances: Vec<Instance> = (0..4)
-            .map(|seed| Instance::new(random_points(20, 40 + seed)).unwrap())
-            .collect();
-        let budget = AntennaBudget::new(2, PI);
-        let shim = BatchOrienter::orient_instances(&instances, budget, 2);
-        let batch = InstanceBatch::new(&instances)
-            .with_threads(2)
-            .orient(budget);
-        for (s, b) in shim.iter().zip(batch.iter()) {
-            let (s, b) = (s.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!(s.algorithm, b.algorithm);
-            assert_eq!(s.scheme.max_radius(), b.scheme.max_radius());
         }
     }
 }

@@ -120,15 +120,15 @@ impl DynamicInstance {
     /// `(id, point)` set in strictly ascending id order, plus the `next_id`
     /// horizon (ids below it without an entry are dead, and stay dead).
     ///
-    /// The MST is one static build over the live set — per tile with the
-    /// exact stitch when `spec` resolves to a grid (see [`crate::shard`]),
-    /// otherwise on one tile — and it is the tree the same live set reaches
-    /// through any edit history, so crash recovery costs O(n log n).  The
-    /// grid also partitions the spatial index that edits query.  Specs that
-    /// do not resolve for this deployment ([`ShardSpec::Off`],
-    /// [`ShardSpec::Auto`] below its size threshold, degenerate bounding
-    /// boxes — including the empty deployment) mean a one-tile grid; either
-    /// way the answers are bit-identical, only their cost differs.
+    /// The MST is one global static build over the live set
+    /// ([`antennae_graph::euclidean::EuclideanMst::build_with_engine_threads`]),
+    /// the tree the same live set reaches through any edit history, so
+    /// crash recovery costs O(n log n).  `spec` only partitions the spatial
+    /// index that edits query (see [`crate::shard`]).  Specs that do not
+    /// resolve for this deployment ([`ShardSpec::Off`], [`ShardSpec::Auto`]
+    /// below its size threshold, degenerate bounding boxes — including the
+    /// empty deployment) mean a one-tile grid; either way the answers are
+    /// bit-identical, only their cost differs.
     ///
     /// Fails with [`OrientError::Internal`] when the ids are not strictly
     /// ascending below `next_id`.
@@ -150,7 +150,7 @@ impl DynamicInstance {
         let live: Vec<Point> = entries.iter().map(|&(_, p)| p).collect();
         let grid = spec.resolve(&live).unwrap_or_else(TileGrid::single);
         let emst =
-            DynamicEmst::from_entries(entries, next_id, grid, crate::parallel::default_threads())
+            DynamicEmst::from_entries(entries, next_id, grid, antennae_parallel::default_threads())
                 .map_err(|e| OrientError::MstConstruction(e.to_string()))?;
         Ok(DynamicInstance { emst, cache: None })
     }

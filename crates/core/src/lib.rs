@@ -49,7 +49,8 @@
 //!
 //! For whole budget grids or fleets of deployments, [`batch::BatchOrienter`]
 //! and [`batch::InstanceBatch`] share MST substrates across every solve and
-//! fan the work out over the order-preserving [`parallel::parallel_map`].
+//! fan the work out over the order-preserving
+//! [`antennae_parallel::parallel_map`].
 //!
 //! Deployments under churn go through [`dynamic::DynamicInstance`] and
 //! [`dynamic::DynamicSolverSession`]: insert/remove/move edits incrementally
@@ -58,10 +59,10 @@
 //! from-scratch pipeline.
 //!
 //! Deployments large enough to care are **spatially sharded** through
-//! [`shard::ShardedInstance`] and [`dynamic::DynamicInstance::new_sharded`]:
-//! per-tile kd/MST forests built in parallel and stitched with a cross-tile
-//! Borůvka pass that is bit-exact to the global build, so sharding is a pure
-//! cost optimization (see [`shard`]).
+//! [`dynamic::DynamicInstance::new_sharded`]: the dynamic spatial index
+//! edits query becomes a per-tile kd forest, while the MST is still built by
+//! the one global engine, so sharding is a pure cost optimization (see
+//! [`shard`]).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -73,7 +74,6 @@ pub mod bounds;
 pub mod dynamic;
 pub mod error;
 pub mod instance;
-pub mod parallel;
 pub mod scheme;
 pub mod shard;
 pub mod solver;
@@ -85,7 +85,7 @@ pub use dynamic::{BatchOutcome, DynamicInstance, DynamicSolverSession, Edit, Edi
 pub use error::OrientError;
 pub use instance::Instance;
 pub use scheme::OrientationScheme;
-pub use shard::{ShardReport, ShardSpec, ShardedInstance};
+pub use shard::ShardSpec;
 pub use solver::{
     Guarantee, OrientationOutcome, Orienter, Registry, SelectionPolicy, Solver, VerifiedOutcome,
 };

@@ -1,66 +1,54 @@
-//! Spatial sharding: per-tile kd/MST forests with exact boundary stitching.
+//! Spatial sharding: a uniform tile grid over the dynamic spatial index.
 //!
-//! Large deployments are partitioned into a uniform grid of square tiles
-//! (side auto-derived from `n` and the Lemma-1 interaction radius, or pinned
-//! explicitly), each tile's kd-tree and Borůvka MST forest is built
-//! independently — fanned out over `antennae-parallel` — and the per-tile
-//! forests are stitched with a cross-tile Borůvka merge pass that is
-//! **bit-exact to the global build**: identical MST edge set, identical
-//! `f64::to_bits` on every weight, `lmax` and total weight, hence identical
-//! orientation scheme, induced digraph and verification report downstream.
-//! The exactness argument lives in [`antennae_graph::sharded`]; the root
-//! `tests/shard_oracle.rs` suite pins it over stochastic and extremal
-//! workloads across tile sizes and thread counts.
+//! A deployment's live sensors are partitioned into a uniform grid of
+//! square tiles (side auto-derived from `n` and the Lemma-1 interaction
+//! radius, or pinned explicitly), and the dynamic spatial index every edit
+//! queries is a per-tile kd forest ([`antennae_geometry::TiledKdForest`]):
+//! one edit at `n = 10⁵` rebuilds and range-queries tile-sized kd-trees
+//! instead of one deployment-sized tree.  The grid partitions **only** that
+//! index.  Every bulk MST build — a fresh [`DynamicInstance::new_sharded`],
+//! a recovered [`DynamicInstance::from_entries`] — is the one global engine
+//! ([`antennae_graph::euclidean::EuclideanMst::build_with_engine_threads`]),
+//! and an edit's repair is exact for any partition, so sharding changes
+//! costs, never answers.  The root `tests/shard_oracle.rs` suite pins sharded
+//! sessions bit-equal to one-tile sessions over stochastic and extremal
+//! workloads, edit for edit.
 //!
-//! Two front doors:
-//!
-//! * [`ShardedInstance`] — build a static [`Instance`] shard-by-shard, with
-//!   a [`ShardReport`] describing the decomposition.
-//! * [`crate::dynamic::DynamicInstance::new_sharded`] (and the bulk
-//!   [`crate::dynamic::DynamicInstance::from_entries`] recovery builds
-//!   with) — a deployment under churn whose spatial index is a per-tile
-//!   forest; every edit queries tile-sized indexes, edit-for-edit
-//!   bit-identical to the one-tile index (one edit at `n = 10⁵` is repaired
-//!   inside a ~10³-point tile instead of touching the whole deployment).
-//!
-//! Both paths fall back to one tile when sharding cannot pay for itself —
+//! A spec falls back to one tile when sharding cannot pay for itself —
 //! small inputs, degenerate (zero-area) deployments, or an explicit
-//! [`ShardSpec::Off`]: the static build is then the global engine, and the
-//! dynamic index a single kd-tree — so callers never need to special-case.
+//! [`ShardSpec::Off`] — so callers never need to special-case.
+//!
+//! [`DynamicInstance::new_sharded`]: crate::dynamic::DynamicInstance::new_sharded
+//! [`DynamicInstance::from_entries`]: crate::dynamic::DynamicInstance::from_entries
 //!
 //! # Examples
 //!
 //! ```
-//! use antennae_core::shard::{ShardSpec, ShardedInstance};
-//! use antennae_core::Instance;
+//! use antennae_core::dynamic::DynamicInstance;
+//! use antennae_core::shard::ShardSpec;
 //! use antennae_geometry::Point;
 //!
 //! let points: Vec<Point> = (0..900)
 //!     .map(|i| Point::new((i % 30) as f64, (i / 30) as f64))
 //!     .collect();
-//! let sharded = ShardedInstance::build(&points, ShardSpec::Grid(3))?;
-//! let global = Instance::new(points)?;
+//! let sharded = DynamicInstance::new_sharded(&points, ShardSpec::Grid(3))?;
+//! let one_tile = DynamicInstance::new(&points)?;
+//! assert_eq!(sharded.shard_grid(), Some((3, 3)));
+//! assert_eq!(one_tile.shard_grid(), None);
 //! // Bit-exact: not approximately equal — the same f64s.
-//! assert_eq!(sharded.instance().lmax().to_bits(), global.lmax().to_bits());
+//! assert_eq!(sharded.lmax().to_bits(), one_tile.lmax().to_bits());
 //! # Ok::<(), antennae_core::error::OrientError>(())
 //! ```
 
-use crate::error::OrientError;
-use crate::instance::Instance;
-use crate::parallel::default_threads;
 use antennae_geometry::{Point, TileGrid};
-use antennae_graph::sharded::{build_sharded, StitchStats};
 
-/// Below this many points [`ShardSpec::Auto`] stays global: the whole input
-/// is at most a handful of tiles' worth of work, and the static engine would
-/// use dense Prim or a single kd Borůvka anyway.
+/// Below this many points [`ShardSpec::Auto`] keeps one tile: the whole
+/// index is at most a handful of tiles' worth of points.
 pub const AUTO_SHARD_MIN_POINTS: usize = 4096;
 
 /// The tile occupancy [`ShardSpec::Auto`] aims for.  Tiles of ~10³ points
-/// keep every per-tile build comfortably in cache while leaving enough tiles
-/// to saturate the worker pool, and they bound the region a dynamic edit has
-/// to touch — the "one edit at `n = 10⁵` repaired in a ~10³-point tile"
-/// headline.
+/// keep every tile's kd-tree rebuild and range query comfortably in cache,
+/// and they bound the index region a dynamic edit has to touch.
 pub const AUTO_TARGET_PER_TILE: usize = 1024;
 
 /// How (and whether) to shard a deployment — the value behind the orientd
@@ -69,14 +57,15 @@ pub const AUTO_TARGET_PER_TILE: usize = 1024;
 pub enum ShardSpec {
     /// Shard when it pays: inputs of at least [`AUTO_SHARD_MIN_POINTS`]
     /// points get a grid targeting [`AUTO_TARGET_PER_TILE`] points per tile;
-    /// smaller or degenerate inputs stay global.  Safe as the default
-    /// because the sharded build is bit-exact to the global one.
+    /// smaller or degenerate inputs keep one tile.  Safe as the default
+    /// because a sharded index answers exactly like a one-tile one.
     #[default]
     Auto,
-    /// Force a grid with this many tiles per axis (≥ 2), degenerate inputs
-    /// permitting.
+    /// Force a grid with this many tiles per axis (≥ 2), clamped to
+    /// `⌊√n⌋` for an `n`-point deployment so a grid never has more tiles
+    /// than points; degenerate inputs permitting.
     Grid(usize),
-    /// Never shard: the global static engine and a one-tile dynamic index.
+    /// Never shard: a one-tile dynamic index.
     Off,
 }
 
@@ -109,11 +98,16 @@ impl ShardSpec {
 
     /// Resolves the spec against a concrete deployment: the tile grid to
     /// shard with, or `None` for one tile (spec is `Off`, the input is too
-    /// small for `Auto`, or the bounding box is degenerate).
+    /// small for `Auto`, too small for two tiles under the `Grid` clamp, or
+    /// the bounding box is degenerate).
     pub fn resolve(&self, points: &[Point]) -> Option<TileGrid> {
         let grid = match *self {
             ShardSpec::Off => None,
-            ShardSpec::Grid(per_axis) => TileGrid::with_tiles_per_axis(points, per_axis),
+            // At most ⌊√n⌋ per axis, so at most n tiles: every tile is a
+            // kd-tree allocated up front.
+            ShardSpec::Grid(per_axis) => {
+                TileGrid::with_tiles_per_axis(points, per_axis.min(points.len().isqrt()))
+            }
             ShardSpec::Auto => {
                 if points.len() >= AUTO_SHARD_MIN_POINTS {
                     TileGrid::auto(points, AUTO_TARGET_PER_TILE)
@@ -138,80 +132,6 @@ impl std::fmt::Display for ShardSpec {
     }
 }
 
-/// The decomposition a sharded build used, for telemetry (STATS, the sim
-/// churn comparison, the oracle tests).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardReport {
-    /// Tiles along the x axis.
-    pub tiles_x: usize,
-    /// Tiles along the y axis.
-    pub tiles_y: usize,
-    /// Tile side length.
-    pub tile_size: f64,
-    /// What the per-tile build + stitch did.
-    pub stats: StitchStats,
-}
-
-/// A static [`Instance`] built shard-by-shard — bit-exact to
-/// [`Instance::new`], with a [`ShardReport`] when sharding actually ran
-/// (see the [module docs](self)).
-#[derive(Debug, Clone)]
-pub struct ShardedInstance {
-    instance: Instance,
-    report: Option<ShardReport>,
-}
-
-impl ShardedInstance {
-    /// Builds with [`default_threads`] workers.
-    pub fn build(points: &[Point], spec: ShardSpec) -> Result<Self, OrientError> {
-        Self::build_with_threads(points, spec, default_threads())
-    }
-
-    /// Builds with an explicit worker count (the oracle tests sweep this to
-    /// pin thread-count invariance).
-    pub fn build_with_threads(
-        points: &[Point],
-        spec: ShardSpec,
-        threads: usize,
-    ) -> Result<Self, OrientError> {
-        match spec.resolve(points) {
-            None => Ok(ShardedInstance {
-                instance: Instance::new(points.to_vec())?,
-                report: None,
-            }),
-            Some(grid) => {
-                let (mst, stats) = build_sharded(points, &grid, threads)
-                    .map_err(|e| OrientError::MstConstruction(e.to_string()))?;
-                let report = ShardReport {
-                    tiles_x: grid.tiles_x(),
-                    tiles_y: grid.tiles_y(),
-                    tile_size: grid.tile_size(),
-                    stats,
-                };
-                Ok(ShardedInstance {
-                    instance: Instance::from_prebuilt(points.to_vec(), mst),
-                    report: Some(report),
-                })
-            }
-        }
-    }
-
-    /// The built instance (hand it to [`crate::Solver::on`] as usual).
-    pub fn instance(&self) -> &Instance {
-        &self.instance
-    }
-
-    /// Consumes the wrapper, keeping the instance.
-    pub fn into_instance(self) -> Instance {
-        self.instance
-    }
-
-    /// The decomposition, `None` when the build stayed global.
-    pub fn report(&self) -> Option<&ShardReport> {
-        self.report.as_ref()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,11 +153,9 @@ mod tests {
     }
 
     #[test]
-    fn auto_stays_global_below_threshold() {
+    fn auto_keeps_one_tile_below_threshold() {
         let pts = lattice(20); // 400 points < AUTO_SHARD_MIN_POINTS
         assert!(ShardSpec::Auto.resolve(&pts).is_none());
-        let built = ShardedInstance::build(&pts, ShardSpec::Auto).unwrap();
-        assert!(built.report().is_none());
     }
 
     #[test]
@@ -254,27 +172,38 @@ mod tests {
     }
 
     #[test]
-    fn forced_grid_matches_global_bit_for_bit() {
-        let pts = lattice(32); // 1024 ≥ kd crossover, so the stitch runs
-        let sharded = ShardedInstance::build_with_threads(&pts, ShardSpec::Grid(3), 2).unwrap();
-        let global = Instance::new(pts).unwrap();
-        let report = sharded.report().expect("grid spec shards");
-        assert!(report.stats.stitched);
-        assert_eq!(report.tiles_x * report.tiles_y, report.stats.tiles);
-        assert_eq!(sharded.instance().lmax().to_bits(), global.lmax().to_bits());
-        assert_eq!(
-            sharded.instance().mst().total_weight().to_bits(),
-            global.mst().total_weight().to_bits()
-        );
-    }
-
-    #[test]
-    fn off_and_degenerate_inputs_stay_global() {
+    fn off_and_degenerate_inputs_keep_one_tile() {
         assert!(ShardSpec::Off.resolve(&lattice(80)).is_none());
         // Coincident points: zero-area bounding box, Grid cannot resolve.
         let coincident = vec![Point::new(1.0, 1.0); 8];
-        let built = ShardedInstance::build(&coincident, ShardSpec::Grid(4)).unwrap();
-        assert!(built.report().is_none());
-        assert_eq!(built.into_instance().len(), 8);
+        assert!(ShardSpec::Grid(4).resolve(&coincident).is_none());
+    }
+
+    #[test]
+    fn grid_never_has_more_tiles_than_points() {
+        // Three points spanning a 2×1 box: unclamped, a million tiles per
+        // axis would be 10⁶ × 5·10⁵ tiles, each one a kd-tree.
+        let three = [
+            Point::new(0.0, 0.0),
+            Point::new(2.0, 1.0),
+            Point::new(1.0, 0.5),
+        ];
+        let tiles = ShardSpec::Grid(1_000_000)
+            .resolve(&three)
+            .map_or(1, |g| g.tiles());
+        assert!(tiles <= three.len(), "{tiles} tiles for 3 points");
+        // The clamp keeps every grid that fits: 5 points still get 2×2.
+        let five = [(0.0, 0.0), (2.0, 0.0), (0.0, 2.0), (2.0, 2.0), (1.0, 1.0)]
+            .map(|(x, y)| Point::new(x, y));
+        let grid = ShardSpec::Grid(2)
+            .resolve(&five)
+            .expect("2×2 fits 5 points");
+        assert_eq!((grid.tiles_x(), grid.tiles_y()), (2, 2));
+        for n_side in [4usize, 10, 31] {
+            let pts = lattice(n_side);
+            let grid = ShardSpec::Grid(1000).resolve(&pts).expect("clamped grid");
+            assert!(grid.tiles() <= pts.len());
+            assert_eq!(grid.tiles_x(), n_side);
+        }
     }
 }

@@ -39,12 +39,8 @@
 //! # Ok::<(), antennae_core::error::OrientError>(())
 //! ```
 //!
-//! The legacy free functions
-//! [`dispatch::orient`](crate::algorithms::dispatch::orient) and
-//! [`dispatch::orient_with_report`](crate::algorithms::dispatch::orient_with_report)
-//! are thin deprecated shims over
-//! [`SelectionPolicy::BestGuarantee`]; the selection logic itself lives only
-//! here.
+//! The selection logic lives only here; [`SelectionPolicy::BestGuarantee`]
+//! reproduces the retired `dispatch::orient_with_report` free function.
 
 mod orienters;
 
@@ -56,9 +52,9 @@ use crate::algorithms::AlgorithmKind;
 use crate::antenna::AntennaBudget;
 use crate::error::OrientError;
 use crate::instance::Instance;
-use crate::parallel::{default_threads, parallel_map};
 use crate::scheme::OrientationScheme;
 use crate::verify::{VerificationEngine, VerificationReport, VerificationSession};
+use antennae_parallel::{default_threads, parallel_map};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
@@ -259,7 +255,7 @@ pub enum SelectionPolicy {
     /// Run the single orienter with the best *proven* radius guarantee (ties
     /// broken by registry order; heuristics only when nothing proven
     /// applies).  On [`Registry::paper`] this reproduces the legacy
-    /// `dispatch::orient_with_report` exactly.
+    /// dispatch decision table exactly.
     #[default]
     BestGuarantee,
     /// Run exactly the named algorithm, failing with
@@ -267,7 +263,7 @@ pub enum SelectionPolicy {
     /// registry or rejects the budget.
     Specific(AlgorithmKind),
     /// Run *every* applicable orienter (fanned out over
-    /// [`crate::parallel::parallel_map`]) and keep the scheme
+    /// [`antennae_parallel::parallel_map`]) and keep the scheme
     /// with the smallest *measured* max radius; all candidates are reported
     /// in [`OrientationOutcome::candidates`].
     Portfolio,
@@ -388,7 +384,7 @@ impl VerifiedOutcome {
 ///
 /// Defaults: budget `(k = 1, φ = 0)`, [`SelectionPolicy::BestGuarantee`],
 /// the shared [`Registry::paper`] and
-/// [`crate::parallel::default_threads`] workers (threads
+/// [`antennae_parallel::default_threads`] workers (threads
 /// only matter for [`SelectionPolicy::Portfolio`]).
 #[derive(Debug, Clone)]
 pub struct Solver<'a> {
@@ -907,6 +903,22 @@ mod tests {
         assert_eq!(implemented_radius_guarantee(6, 1.0), None);
         assert_eq!(implemented_radius_guarantee(1, 0.5), None);
         assert_eq!(implemented_radius_guarantee(5, 0.0), Some(1.0));
+    }
+
+    #[test]
+    fn implemented_guarantee_never_beats_the_paper_bound() {
+        for k in 1..=5 {
+            for step in 0..=10 {
+                let phi = TAU * step as f64 / 10.0;
+                let paper = crate::bounds::table1_radius(k, phi).unwrap();
+                if let Some(ours) = implemented_radius_guarantee(k, phi) {
+                    assert!(
+                        ours + 1e-9 >= paper,
+                        "k={k} phi={phi}: implemented {ours} < paper {paper}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -32,16 +32,16 @@
 //! batch budget grid), [`VerificationEngine::session`] builds the kd-tree
 //! once and reuses it; [`VerificationEngine::verify_batch`] and
 //! [`VerificationSession::verify_schemes`] fan independent verifications out
-//! over [`crate::parallel::parallel_map`].
+//! over [`antennae_parallel::parallel_map`].
 
 use crate::antenna::AntennaBudget;
 use crate::bounds::{radius_over_lmax, SPREAD_EPS};
 use crate::instance::Instance;
-use crate::parallel::{chunk_ranges, default_threads, parallel_map};
 use crate::scheme::OrientationScheme;
 use antennae_geometry::{KdTree, Point, EPS};
 use antennae_graph::scc::scc_summary;
 use antennae_graph::DiGraph;
+use antennae_parallel::{chunk_ranges, default_threads, parallel_map};
 use serde::{Deserialize, Serialize};
 
 /// A violation detected while verifying a scheme.
@@ -287,7 +287,7 @@ impl VerificationEngine {
     }
 
     /// Verifies many independent `(instance, scheme)` pairs concurrently
-    /// over [`crate::parallel::parallel_map`], preserving input order.
+    /// over [`antennae_parallel::parallel_map`], preserving input order.
     ///
     /// Each pair is verified under `budget` (when `Some`).  Pairs are
     /// independent, so the per-pair digraph rebuild runs sequentially inside
@@ -314,7 +314,7 @@ impl VerificationEngine {
     /// become rows of one flat target vector, handed to
     /// [`DiGraph::from_csr`] without any intermediate nested adjacency.  The
     /// parallel path chunks the sensor range over
-    /// [`crate::parallel::chunk_ranges`], each chunk emitting a local
+    /// [`antennae_parallel::chunk_ranges`], each chunk emitting a local
     /// `(row sizes, targets)` pair with one reused candidate buffer, and the
     /// chunks are spliced in order; each row's contents are computed by the
     /// same query-and-filter whatever the chunking, so every thread count
@@ -418,7 +418,7 @@ impl VerificationSession<'_> {
     }
 
     /// Verifies many schemes against the session's instance concurrently
-    /// (one kd-tree, [`crate::parallel::parallel_map`] across schemes),
+    /// (one kd-tree, [`antennae_parallel::parallel_map`] across schemes),
     /// preserving input order.
     pub fn verify_schemes(
         &self,

@@ -1,4 +1,4 @@
-//! A 2-d tree (kd-tree) over points, supporting nearest-neighbour, k-nearest,
+//! A 2-d tree (kd-tree) over points, supporting nearest-neighbour,
 //! nearest-foreign-component and range queries.
 //!
 //! The sub-quadratic Euclidean MST builder in `antennae-graph` drives its
@@ -42,7 +42,6 @@
 //! queries would agree even if they didn't, by the layout independence noted
 //! above.
 
-use crate::bbox::Aabb;
 use crate::point::Point;
 use antennae_parallel::parallel_map;
 use std::sync::Mutex;
@@ -249,8 +248,7 @@ impl KdIndex {
     /// [`KdIndex::nearest_foreign_within`], with the same inclusive,
     /// ulp-widened bound semantics (a returned point is always the true
     /// nearest non-skipped point; `None` only ever hides strictly farther
-    /// ones).  The sharded MST stitch uses it with a
-    /// same-tile-or-same-component skip.
+    /// ones).  The dynamic index's snapshot queries go through it.
     pub fn nearest_filtered_within<F: Fn(usize) -> bool>(
         &self,
         points: &[Point],
@@ -367,65 +365,6 @@ impl KdIndex {
         }
         if -diff <= radius && node.right != NONE {
             self.radius_rec(points, node.right, axis ^ 1, query, radius, out);
-        }
-    }
-
-    /// The `k` nearest neighbours of `query`, sorted by increasing distance
-    /// (ties towards the smaller index).
-    ///
-    /// The search keeps the current best `k` candidates and prunes every
-    /// subtree whose splitting plane is farther than the worst of them, so a
-    /// query costs O(k + log n) on typical inputs rather than the O(n log n)
-    /// of a scan-and-sort.
-    pub fn k_nearest(&self, points: &[Point], query: &Point, k: usize) -> Vec<(usize, f64)> {
-        let mut best: Vec<(usize, f64)> = Vec::with_capacity(k.min(self.len()) + 1);
-        if k == 0 {
-            return best;
-        }
-        if self.root != NONE {
-            self.k_nearest_rec(points, self.root, 0, query, k, &mut best);
-        }
-        best
-    }
-
-    fn k_nearest_rec(
-        &self,
-        points: &[Point],
-        node_idx: u32,
-        axis: u8,
-        query: &Point,
-        k: usize,
-        best: &mut Vec<(usize, f64)>,
-    ) {
-        let node = self.nodes[node_idx as usize];
-        let point_idx = node.point as usize;
-        let p = &points[point_idx];
-        let d = query.distance(p);
-        // Insert into the sorted candidate list (worst candidate last).
-        let pos = best
-            .iter()
-            .position(|&(bi, bd)| d < bd || (d == bd && point_idx < bi))
-            .unwrap_or(best.len());
-        if pos < k {
-            best.insert(pos, (point_idx, d));
-            best.truncate(k);
-        }
-        let diff = if axis == 0 {
-            query.x - p.x
-        } else {
-            query.y - p.y
-        };
-        let (near, far) = if diff <= 0.0 {
-            (node.left, node.right)
-        } else {
-            (node.right, node.left)
-        };
-        if near != NONE {
-            self.k_nearest_rec(points, near, axis ^ 1, query, k, best);
-        }
-        let must_check_far = best.len() < k || best.last().is_none_or(|&(_, wd)| diff.abs() <= wd);
-        if must_check_far && far != NONE {
-            self.k_nearest_rec(points, far, axis ^ 1, query, k, best);
         }
     }
 }
@@ -559,26 +498,8 @@ impl KdTree {
     /// [`KdTree::build`], which would otherwise hold a second copy of the
     /// point set for the tree's lifetime.
     pub fn build_owned(points: Vec<Point>) -> Self {
-        Self::build_owned_with_threads(points, 1)
-    }
-
-    /// Like [`KdTree::build`], but fans subtree construction out over up to
-    /// `threads` workers (see [`KdIndex::build_with_threads`]; the logical
-    /// tree is identical for every thread count).
-    pub fn build_with_threads(points: &[Point], threads: usize) -> Self {
-        Self::build_owned_with_threads(points.to_vec(), threads)
-    }
-
-    /// [`KdTree::build_owned`] with an explicit worker-thread count.
-    pub fn build_owned_with_threads(points: Vec<Point>, threads: usize) -> Self {
-        let index = KdIndex::build_with_threads(&points, threads);
+        let index = KdIndex::build(&points);
         KdTree { index, points }
-    }
-
-    /// The underlying index (borrowable for zero-copy query loops that
-    /// already hold the point slice).
-    pub fn index(&self) -> &KdIndex {
-        &self.index
     }
 
     /// Number of points stored.
@@ -599,18 +520,8 @@ impl KdTree {
         self.points.is_empty()
     }
 
-    /// Nearest neighbour of `query` among the stored points, optionally
-    /// skipping indices for which `skip` returns `true`.  See
-    /// [`KdIndex::nearest_filtered`].
-    pub fn nearest_filtered<F: Fn(usize) -> bool>(
-        &self,
-        query: &Point,
-        skip: F,
-    ) -> Option<(usize, f64)> {
-        self.index.nearest_filtered(&self.points, query, skip)
-    }
-
-    /// Like [`KdTree::nearest_filtered`], but only reports points at
+    /// Nearest neighbour of `query` among the stored points, skipping
+    /// indices for which `skip` returns `true`, reporting only points at
     /// distance `max_dist` or closer.  See
     /// [`KdIndex::nearest_filtered_within`].
     pub fn nearest_filtered_within<F: Fn(usize) -> bool>(
@@ -621,31 +532,6 @@ impl KdTree {
     ) -> Option<(usize, f64)> {
         self.index
             .nearest_filtered_within(&self.points, query, skip, max_dist)
-    }
-
-    /// Nearest point to `query` whose component label differs from `label`.
-    /// See [`KdIndex::nearest_foreign`].
-    pub fn nearest_foreign(
-        &self,
-        query: &Point,
-        labels: &[usize],
-        label: usize,
-    ) -> Option<(usize, f64)> {
-        self.index
-            .nearest_foreign(&self.points, query, labels, label)
-    }
-
-    /// Like [`KdTree::nearest_foreign`], but only reports points at distance
-    /// `max_dist` or closer.  See [`KdIndex::nearest_foreign_within`].
-    pub fn nearest_foreign_within(
-        &self,
-        query: &Point,
-        labels: &[usize],
-        label: usize,
-        max_dist: f64,
-    ) -> Option<(usize, f64)> {
-        self.index
-            .nearest_foreign_within(&self.points, query, labels, label, max_dist)
     }
 
     /// Nearest neighbour of `query` (no filtering).
@@ -664,21 +550,6 @@ impl KdTree {
     pub fn within_radius_into(&self, query: &Point, radius: f64, out: &mut Vec<usize>) {
         self.index
             .within_radius_into(&self.points, query, radius, out)
-    }
-
-    /// All indices of points inside the axis-aligned box.
-    pub fn within_box(&self, bbox: &Aabb) -> Vec<usize> {
-        let mut out: Vec<usize> = (0..self.points.len())
-            .filter(|&i| bbox.contains(&self.points[i]))
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// The `k` nearest neighbours of `query`, sorted by increasing distance
-    /// (ties towards the smaller index).  See [`KdIndex::k_nearest`].
-    pub fn k_nearest(&self, query: &Point, k: usize) -> Vec<(usize, f64)> {
-        self.index.k_nearest(&self.points, query, k)
     }
 }
 
@@ -722,7 +593,9 @@ mod tests {
     fn nearest_with_skip_excludes_self() {
         let pts = sample_points();
         let t = KdTree::build(&pts);
-        let (idx, _) = t.nearest_filtered(&pts[0], |i| i == 0).unwrap();
+        let (idx, _) = t
+            .nearest_filtered_within(&pts[0], |i| i == 0, f64::INFINITY)
+            .unwrap();
         assert_eq!(idx, 5); // (0.5, 0.4) is the closest other point
     }
 
@@ -746,63 +619,34 @@ mod tests {
     }
 
     #[test]
-    fn within_box_query() {
-        let pts = sample_points();
-        let t = KdTree::build(&pts);
-        let bbox = Aabb::new(Point::new(-0.1, -0.1), Point::new(1.1, 1.1));
-        assert_eq!(t.within_box(&bbox), vec![0, 1, 5]);
-    }
-
-    #[test]
-    fn k_nearest_is_sorted() {
-        let pts = sample_points();
-        let t = KdTree::build(&pts);
-        let knn = t.k_nearest(&Point::new(0.0, 0.0), 3);
-        assert_eq!(knn.len(), 3);
-        assert!(knn.windows(2).all(|w| w[0].1 <= w[1].1));
-        assert_eq!(knn[0].0, 0);
-    }
-
-    #[test]
-    fn k_nearest_edge_cases() {
-        let pts = sample_points();
-        let t = KdTree::build(&pts);
-        assert!(t.k_nearest(&Point::ORIGIN, 0).is_empty());
-        // Asking for more neighbours than points returns all of them, sorted.
-        let all = t.k_nearest(&Point::ORIGIN, 100);
-        assert_eq!(all.len(), pts.len());
-        assert!(all.windows(2).all(|w| w[0].1 <= w[1].1));
-    }
-
-    #[test]
     fn nearest_foreign_skips_own_component() {
         let pts = sample_points();
-        let t = KdTree::build(&pts);
+        let t = KdIndex::build(&pts);
         // Points 0 and 5 share component 7; the nearest foreigner of point 0
         // must therefore be point 1, not the closer point 5.
         let labels = vec![7, 1, 1, 2, 2, 7];
-        let (idx, d) = t.nearest_foreign(&pts[0], &labels, 7).unwrap();
+        let (idx, d) = t.nearest_foreign(&pts, &pts[0], &labels, 7).unwrap();
         assert_eq!(idx, 1);
         assert!((d - pts[0].distance(&pts[1])).abs() < 1e-12);
         // A component holding every point sees no foreigner.
         let all_same = vec![3; pts.len()];
-        assert!(t.nearest_foreign(&pts[0], &all_same, 3).is_none());
+        assert!(t.nearest_foreign(&pts, &pts[0], &all_same, 3).is_none());
     }
 
     #[test]
     fn nearest_foreign_within_respects_the_bound() {
         let pts = sample_points();
-        let t = KdTree::build(&pts);
+        let t = KdIndex::build(&pts);
         let labels = vec![7, 1, 1, 2, 2, 7];
-        let exact = t.nearest_foreign(&pts[0], &labels, 7).unwrap();
+        let exact = t.nearest_foreign(&pts, &pts[0], &labels, 7).unwrap();
         // A bound at exactly the true distance still reports the point…
         let bounded = t
-            .nearest_foreign_within(&pts[0], &labels, 7, exact.1)
+            .nearest_foreign_within(&pts, &pts[0], &labels, 7, exact.1)
             .unwrap();
         assert_eq!(bounded.0, exact.0);
         // …while a tighter bound hides everything.
         assert!(t
-            .nearest_foreign_within(&pts[0], &labels, 7, exact.1 * 0.99)
+            .nearest_foreign_within(&pts, &pts[0], &labels, 7, exact.1 * 0.99)
             .is_none());
     }
 
@@ -893,27 +737,6 @@ mod tests {
         }
 
         #[test]
-        fn prop_k_nearest_matches_linear_scan(
-            xs in proptest::collection::vec((-50.0..50.0f64, -50.0..50.0f64), 1..60),
-            qx in -50.0..50.0f64, qy in -50.0..50.0f64,
-            k in 1usize..12,
-        ) {
-            let pts: Vec<Point> = xs.iter().map(|&(x, y)| Point::new(x, y)).collect();
-            let q = Point::new(qx, qy);
-            let t = KdTree::build(&pts);
-            let got = t.k_nearest(&q, k);
-            let mut expected: Vec<(usize, f64)> = (0..pts.len())
-                .map(|i| (i, q.distance(&pts[i])))
-                .collect();
-            expected.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            expected.truncate(k);
-            prop_assert_eq!(got.len(), expected.len());
-            for (g, e) in got.iter().zip(expected.iter()) {
-                prop_assert!((g.1 - e.1).abs() < 1e-12, "distance mismatch: {:?} vs {:?}", g, e);
-            }
-        }
-
-        #[test]
         fn prop_nearest_foreign_matches_linear_scan(
             xs in proptest::collection::vec((-50.0..50.0f64, -50.0..50.0f64, 0usize..4), 1..50),
             qx in -50.0..50.0f64, qy in -50.0..50.0f64,
@@ -922,8 +745,8 @@ mod tests {
             let pts: Vec<Point> = xs.iter().map(|&(x, y, _)| Point::new(x, y)).collect();
             let labels: Vec<usize> = xs.iter().map(|&(_, _, l)| l).collect();
             let q = Point::new(qx, qy);
-            let t = KdTree::build(&pts);
-            let got = t.nearest_foreign(&q, &labels, label);
+            let t = KdIndex::build(&pts);
+            let got = t.nearest_foreign(&pts, &q, &labels, label);
             let expected = (0..pts.len())
                 .filter(|&i| labels[i] != label)
                 .map(|i| (i, q.distance(&pts[i])))

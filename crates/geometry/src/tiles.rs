@@ -1,17 +1,16 @@
 //! Uniform spatial tiling and the per-tile dynamic kd forest.
 //!
 //! The spatial-sharding subsystem partitions the plane into a uniform grid
-//! of square tiles ([`TileGrid`]) so that the MST build can run per tile
-//! (each tile's points are indexed and spanned independently, then the tile
-//! forests are stitched — see `antennae-graph`'s sharded builder) and so
-//! that churn edits touch only tile-sized spatial indexes
-//! ([`TiledKdForest`]).
+//! of square tiles ([`TileGrid`]) so that churn edits touch only tile-sized
+//! spatial indexes ([`TiledKdForest`]).  The MST itself is always built by
+//! one global engine; the grid partitions only the dynamic index.
 //!
 //! A tile assignment is **only a partition** of the live points: every
-//! correctness argument downstream (the cut-property stitch, the bounded
-//! star of the dynamic insert) holds for *any* partition, so a point outside
-//! the grid's bounding box is simply clamped to the nearest boundary tile.
-//! Tiling choices affect performance, never results.
+//! correctness argument downstream (the bounded star of the dynamic insert,
+//! the nearest-foreign queries of the removal repair) holds for *any*
+//! partition, so a point outside the grid's bounding box is simply clamped
+//! to the nearest boundary tile.  Tiling choices affect performance, never
+//! results.
 
 use crate::bbox::Aabb;
 use crate::dynamic::DynamicKdTree;
@@ -78,8 +77,9 @@ impl TileGrid {
         TileGrid::new(Aabb::new(Point::ORIGIN, Point::ORIGIN), 1.0)
     }
 
-    /// Grid over the bounding box of `points` with `per_axis × per_axis`
-    /// tiles; `None` for an empty point set.
+    /// Grid over the bounding box of `points` with at most `per_axis ×
+    /// per_axis` tiles (the shorter axis gets fewer); `None` for an empty
+    /// point set.
     pub fn with_tiles_per_axis(points: &[Point], per_axis: usize) -> Option<Self> {
         let per_axis = per_axis.max(1);
         let bbox = Aabb::from_points(points)?;
@@ -88,7 +88,12 @@ impl TileGrid {
             // All points coincide: one tile is the only sensible grid.
             return Some(TileGrid::new(bbox, 1.0));
         }
-        Some(TileGrid::new(bbox, span / per_axis as f64))
+        let mut grid = TileGrid::new(bbox, span / per_axis as f64);
+        // `span / (span / k)` can round up past `k`; the extra tile would be
+        // an ulp-wide sliver, and edge tiles already absorb the box edge.
+        grid.nx = grid.nx.min(per_axis);
+        grid.ny = grid.ny.min(per_axis);
+        Some(grid)
     }
 
     /// Auto-sized grid for `points`: the tile side targets
@@ -125,11 +130,6 @@ impl TileGrid {
     /// Tiles along the y axis.
     pub fn tiles_y(&self) -> usize {
         self.ny
-    }
-
-    /// Side length of a tile.
-    pub fn tile_size(&self) -> f64 {
-        self.tile
     }
 
     /// The grid's bounding box.
@@ -445,6 +445,16 @@ mod tests {
         // distance 0 to their owning tile.
         assert_eq!(grid.tile_distance(0, &Point::new(-5.0, -5.0)), 0.0);
         assert_eq!(grid.tile_distance(15, &Point::new(50.0, 50.0)), 0.0);
+    }
+
+    #[test]
+    fn per_axis_grids_never_exceed_the_requested_count() {
+        // 2.1 / (2.1 / 7) rounds to just above 7: the grid must still have
+        // 7 columns, not an eighth ulp-wide one.
+        let pts = [Point::new(0.0, 0.0), Point::new(2.1, 1.0)];
+        let grid = TileGrid::with_tiles_per_axis(&pts, 7).unwrap();
+        assert_eq!((grid.tiles_x(), grid.tiles_y()), (7, 4));
+        assert_eq!(grid.tile_of(&pts[1]), grid.tiles() - 1);
     }
 
     #[test]

@@ -7,12 +7,14 @@
 //! deployment is sharded), one constructor and one repair path per edit:
 //!
 //! * **Build.**  [`DynamicEmst::from_entries`] takes the live `(slot,
-//!   point)` pairs in ascending slot order and runs the static sharded build
-//!   ([`build_sharded`]) over the live points, then relabels dense index `i`
-//!   to the `i`-th slot.  The relabeling is monotone, so it keeps the
-//!   engines' shared `(weight, min, max)` edge order and hence the same
-//!   unique MST.  Fresh, empty and recovered deployments all start here, so
-//!   rebuilding a tenant from a durable image costs one O(n log n) build.
+//!   point)` pairs in ascending slot order and runs the static build
+//!   ([`EuclideanMst::build_with_engine_threads`] with [`MstEngine::Auto`])
+//!   over the live points, then relabels dense index `i` to the `i`-th slot.
+//!   The relabeling is monotone, so it keeps the engines' shared `(weight,
+//!   min, max)` edge order and hence the same unique MST.  Fresh, empty and
+//!   recovered deployments all start here, so rebuilding a tenant from a
+//!   durable image costs one O(n log n) build.  The tile grid only
+//!   partitions the spatial index the edits query.
 //! * **Insert** uses the vertex-insertion fact of Chin & Houck (*Algorithms
 //!   for updating minimal spanning trees*, JCSS 1978): a minimum spanning
 //!   tree of `P ∪ {q}` lies inside `T ∪ star(q)`, where `T` is any MST of
@@ -45,9 +47,8 @@
 //! the degree down to 5, and which exchange runs can depend on the edit
 //! history; weight and `lmax` still match the rebuild.
 
-use crate::euclidean::{EmstError, EuclideanMst, MAX_MST_DEGREE};
+use crate::euclidean::{EmstError, EuclideanMst, MstEngine, MAX_MST_DEGREE};
 use crate::graph::Graph;
-use crate::sharded::build_sharded;
 use antennae_geometry::angular::{circular_gaps, sort_ccw};
 use antennae_geometry::{Point, TileGrid, TiledKdForest};
 
@@ -133,8 +134,8 @@ impl DynamicEmst {
     /// the shape a long-running service needs when a deployment is
     /// registered before its first sensor arrives.
     ///
-    /// The first tree is [`build_sharded`] over the live points in entry
-    /// order (bit-identical to [`EuclideanMst::build`] at every `threads`),
+    /// The first tree is [`EuclideanMst::build_with_engine_threads`] over
+    /// the live points in entry order (bit-identical at every `threads`),
     /// with dense index `i` relabeled to `entries[i].0`.  The relabeling is
     /// monotone, so the `(weight, min, max)` order — and with it the unique
     /// MST — is the same in slot space: a deployment rebuilt from its live
@@ -179,7 +180,7 @@ impl DynamicEmst {
             return Ok(emst);
         }
         let live: Vec<Point> = entries.iter().map(|&(_, p)| p).collect();
-        let (initial, _) = build_sharded(&live, emst.index.grid(), threads)?;
+        let initial = EuclideanMst::build_with_engine_threads(&live, MstEngine::Auto, threads)?;
         for (dense, &(slot, _)) in entries.iter().enumerate() {
             // Dense adjacency is ascending, and so stays after relabeling.
             emst.adj[slot] = initial

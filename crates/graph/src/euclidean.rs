@@ -209,26 +209,11 @@ impl EuclideanMst {
         } else {
             Vec::new()
         };
-        Self::assemble(points, &spanning, resolved)
-    }
-
-    /// Shared tail of every engine path: assemble the spanning edges into a
-    /// canonical tree (adjacency sorted before *and* after the degree-repair
-    /// pass, so the result depends only on the spanning edge **set**, never
-    /// on the order an engine discovered the edges in) and validate the
-    /// degree bound.  The sharded stitched builder (`crate::sharded`) feeds
-    /// its boundary-merged edge set through this same tail, which is what
-    /// makes it bit-identical to the global build.
-    pub(crate) fn assemble(
-        points: &[Point],
-        spanning: &[Edge],
-        engine: MstEngine,
-    ) -> Result<Self, EmstError> {
-        if points.is_empty() {
-            return Err(EmstError::EmptyPointSet);
-        }
-        let mut tree = Graph::new(points.len());
-        for e in spanning {
+        // Adjacency is sorted before *and* after the degree-repair pass, so
+        // the tree depends only on the spanning edge **set**, never on the
+        // order an engine discovered the edges in.
+        let mut tree = Graph::new(n);
+        for e in &spanning {
             tree.add_edge(e.u, e.v, e.weight);
         }
         tree.sort_adjacency();
@@ -245,7 +230,7 @@ impl EuclideanMst {
             points: points.to_vec(),
             tree,
             lmax,
-            engine,
+            engine: resolved,
         })
     }
 
@@ -468,7 +453,7 @@ fn dense_prim(points: &[Point]) -> Vec<Edge> {
 
 /// Smallest input for which a Borůvka round's scan is worth fanning out;
 /// below this the thread-scope setup dwarfs the queries themselves.
-pub(crate) const PARALLEL_BORUVKA_MIN: usize = 4096;
+const PARALLEL_BORUVKA_MIN: usize = 4096;
 
 /// Kd-tree Borůvka over the implicit complete Euclidean graph.
 ///
@@ -488,7 +473,7 @@ pub(crate) const PARALLEL_BORUVKA_MIN: usize = 4096;
 /// winners merged serially; the per-component minimum under the total order
 /// is the same whatever the chunking (see [`scan_run`]), so every thread
 /// count yields the identical edge list, bit for bit.
-pub(crate) fn kd_boruvka(points: &[Point], threads: usize) -> Vec<Edge> {
+fn kd_boruvka(points: &[Point], threads: usize) -> Vec<Edge> {
     let n = points.len();
     // The index borrows `points` — the MST build path holds no extra copy of
     // the point set (the earlier owning `KdTree` doubled point storage,
@@ -635,7 +620,7 @@ fn scan_run(
 
 /// Replaces `best` by `candidate` when the candidate precedes it under
 /// [`edge_order`] (or nothing was kept yet).
-pub(crate) fn keep_min(best: &mut Option<(f64, usize, usize)>, candidate: (f64, usize, usize)) {
+fn keep_min(best: &mut Option<(f64, usize, usize)>, candidate: (f64, usize, usize)) {
     if best.is_none_or(|b| edge_order(candidate, b) == std::cmp::Ordering::Less) {
         *best = Some(candidate);
     }
@@ -643,7 +628,7 @@ pub(crate) fn keep_min(best: &mut Option<(f64, usize, usize)>, candidate: (f64, 
 
 /// Folds `candidate` into the per-root minimum `best[root]`, recording the
 /// root in `touched` on its first write of the round.
-pub(crate) fn offer(
+fn offer(
     best: &mut [Option<(f64, usize, usize)>],
     touched: &mut Vec<usize>,
     root: usize,
@@ -656,7 +641,7 @@ pub(crate) fn offer(
 }
 
 /// The tie-broken total order on candidate edges shared by both engines.
-pub(crate) fn edge_order(a: (f64, usize, usize), b: (f64, usize, usize)) -> std::cmp::Ordering {
+fn edge_order(a: (f64, usize, usize), b: (f64, usize, usize)) -> std::cmp::Ordering {
     a.0.total_cmp(&b.0)
         .then_with(|| a.1.cmp(&b.1))
         .then_with(|| a.2.cmp(&b.2))
@@ -665,7 +650,7 @@ pub(crate) fn edge_order(a: (f64, usize, usize), b: (f64, usize, usize)) -> std:
 /// Local exchange pass that reduces vertices of degree > 5 (which can only
 /// arise from exact 60° / equal-length ties) without increasing the tree
 /// weight by more than floating-point noise.
-pub(crate) fn repair_degree(points: &[Point], tree: &mut Graph) {
+fn repair_degree(points: &[Point], tree: &mut Graph) {
     let n = points.len();
     // A generous iteration cap: each exchange strictly reduces the number of
     // (vertex, excess-degree) units, but guard against pathological floating

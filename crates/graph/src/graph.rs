@@ -171,8 +171,8 @@ impl Graph {
     /// the same edges in different orders become bit-identical structures,
     /// with identical neighbour iteration order and identical (order-
     /// dependent) floating-point sums in [`Graph::total_weight`].  The MST
-    /// engines canonicalize after building precisely so the sharded stitched
-    /// build can be compared bit-for-bit against the global one.
+    /// engines canonicalize after building so that their trees, and
+    /// everything computed from them, compare bit-for-bit.
     pub fn sort_adjacency(&mut self) {
         for row in &mut self.adjacency {
             row.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.total_cmp(&b.1)));

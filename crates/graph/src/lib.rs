@@ -30,7 +30,6 @@ pub mod mst;
 pub mod reference;
 pub mod rooted;
 pub mod scc;
-pub mod sharded;
 pub mod traversal;
 pub mod union_find;
 
@@ -39,6 +38,5 @@ pub use dynamic::{DynamicEmst, DynamicEmstError};
 pub use euclidean::EuclideanMst;
 pub use graph::{Edge, Graph};
 pub use rooted::RootedTree;
-pub use sharded::{build_sharded, StitchStats};
 pub use traversal::{TraversalScratch, VertexMask};
 pub use union_find::UnionFind;

@@ -9,8 +9,8 @@
 //!
 //! This crate sits at the bottom of the dependency graph (it depends on
 //! nothing) precisely so that the geometry and graph substrates can fan work
-//! out without reaching *up* into `antennae-core`; `antennae_core::parallel`
-//! re-exports everything here, so existing import paths keep working.
+//! out without reaching *up* into `antennae-core`; every crate imports it
+//! directly.
 //!
 //! Work items are pulled off a shared atomic counter by
 //! `std::thread::scope` workers, so no item is processed twice and results
@@ -19,8 +19,7 @@
 //! The contract every caller leans on: for a pure `f`, the output of
 //! [`parallel_map`] is *identical* — not just equivalent — at every thread
 //! count, which is what lets the workspace promise bit-exact builds
-//! (`tests/parallel_build_oracle.rs`, `tests/shard_oracle.rs`) while still
-//! fanning out:
+//! (`tests/parallel_build_oracle.rs`) while still fanning out:
 //!
 //! ```
 //! use antennae_parallel::{chunk_ranges, parallel_map};

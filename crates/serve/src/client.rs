@@ -18,19 +18,21 @@ pub struct TcpClient {
 }
 
 impl TcpClient {
-    /// Connects to a running server.
+    /// Connects to a running server.  The socket sets `TCP_NODELAY`: every
+    /// request is one small write awaiting its answer, exactly the pattern
+    /// Nagle's algorithm would hold back until the server's delayed ACK.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(TcpClient { reader, writer })
     }
 
-    /// Sends one request line and reads the matching response line.
+    /// Sends one request line and reads the matching response line.  The
+    /// line and its `\n` leave in a single write.
     pub fn request(&mut self, line: &str) -> std::io::Result<Response> {
         debug_assert!(!line.contains('\n'), "request lines must be newline-free");
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
         let mut response = String::new();
         let n = self
             .reader
@@ -104,6 +106,29 @@ mod tests {
         assert_eq!(pong.to_line(), "OK pong");
         let err = tcp.request("NOPE").expect("round trip");
         assert!(!err.is_ok());
+
+        handle.stop().expect("clean shutdown");
+    }
+
+    #[test]
+    fn tcp_round_trips_do_not_stall() {
+        // A request split over two writes on a Nagle socket waits for the
+        // server's delayed ACK (~40 ms), so this loop would take over 4 s.
+        let service = Arc::new(Service::new());
+        let server = Server::bind_with("127.0.0.1:0", service, 2).expect("bind");
+        let addr = server.local_addr();
+        let handle = server.spawn();
+
+        let mut tcp = TcpClient::connect(addr).expect("connect");
+        let start = std::time::Instant::now();
+        for _ in 0..100 {
+            assert!(tcp.request("PING").expect("round trip").is_ok());
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "100 PINGs took {elapsed:?}"
+        );
 
         handle.stop().expect("clean shutdown");
     }

@@ -23,7 +23,7 @@
 use crate::pool::{SubmitOutcome, WorkerPool};
 use crate::protocol::{ErrorCode, ProtocolError, Response, MAX_LINE_BYTES};
 use crate::service::Service;
-use antennae_core::parallel::default_threads;
+use antennae_parallel::default_threads;
 use std::io::{BufWriter, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;

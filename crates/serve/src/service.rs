@@ -161,10 +161,11 @@ impl Service {
         self.tenant_quota
     }
 
-    /// Sets the sharding policy for tenants created from now on (the
-    /// `--shards auto|N|off` flag).  Set before the service is shared; a
-    /// durable service takes it from its store's configuration, which
-    /// recovery builds with too.
+    /// Sets the sharding policy — the tile grid of the spatial index — for
+    /// tenants created from now on (the `--shards auto|N|off` flag); their
+    /// MST is the global build either way.  Set before the service is
+    /// shared; a durable service takes it from its store's configuration,
+    /// which recovery builds with too.
     pub fn set_shard_spec(&mut self, spec: ShardSpec) {
         self.shard_spec = spec;
     }

@@ -11,13 +11,13 @@
 
 use crate::experiments::common::TextTable;
 use crate::generators::PointSetGenerator;
-use crate::sweep::{default_threads, parallel_map};
 use antennae_core::antenna::AntennaBudget;
 use antennae_core::instance::Instance;
 use antennae_core::solver::Solver;
 use antennae_core::verify::VerificationEngine;
 use antennae_geometry::PI;
 use antennae_graph::traversal::{TraversalScratch, VertexMask};
+use antennae_parallel::{default_threads, parallel_map};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 

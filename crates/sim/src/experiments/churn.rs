@@ -21,7 +21,6 @@
 use crate::events::{churn_trace, ChurnEvent, ChurnMix, ChurnOp};
 use crate::experiments::common::{fmt_check, TextTable};
 use crate::generators::PointSetGenerator;
-use crate::sweep::{default_threads, parallel_map};
 use antennae_core::antenna::AntennaBudget;
 use antennae_core::bounds::theorem2_spread_threshold;
 use antennae_core::dynamic::{DynamicInstance, DynamicSolverSession, Edit};
@@ -29,6 +28,7 @@ use antennae_core::instance::Instance;
 use antennae_core::solver::Solver;
 use antennae_core::verify::verify_with_budget;
 use antennae_geometry::{Point, PI};
+use antennae_parallel::{default_threads, parallel_map};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Instant;

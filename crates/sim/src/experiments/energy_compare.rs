@@ -14,11 +14,11 @@ use crate::energy::EnergyModel;
 use crate::experiments::common::TextTable;
 use crate::generators::PointSetGenerator;
 use crate::interference::{interference_stats, omnidirectional_interference};
-use crate::sweep::{default_threads, parallel_map};
 use antennae_core::antenna::AntennaBudget;
 use antennae_core::instance::Instance;
 use antennae_core::solver::Solver;
 use antennae_geometry::PI;
+use antennae_parallel::{default_threads, parallel_map};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 

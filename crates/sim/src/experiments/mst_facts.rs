@@ -9,10 +9,10 @@
 
 use crate::experiments::common::{fmt_check, TextTable};
 use crate::generators::{standard_workloads, PointSetGenerator};
-use crate::sweep::{default_threads, parallel_map};
 use antennae_geometry::angular::{circular_gaps, sort_ccw};
 use antennae_geometry::{Point, Triangle, PI};
 use antennae_graph::euclidean::EuclideanMst;
+use antennae_parallel::{default_threads, parallel_map};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 

@@ -22,11 +22,11 @@ use crate::events::{churn_trace, ChurnMix};
 use crate::experiments::churn::resolve_edit;
 use crate::experiments::common::{fmt_check, TextTable};
 use crate::generators::PointSetGenerator;
-use crate::sweep::{default_threads, parallel_map};
 use antennae_core::antenna::AntennaBudget;
 use antennae_core::bounds::theorem2_spread_threshold;
 use antennae_core::dynamic::{DynamicInstance, DynamicSolverSession};
 use antennae_core::shard::ShardSpec;
+use antennae_parallel::{default_threads, parallel_map};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Instant;

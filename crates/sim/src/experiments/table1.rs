@@ -10,13 +10,13 @@ use crate::experiments::common::{fmt_bound, fmt_check, TextTable};
 use crate::generators::{standard_workloads, PointSetGenerator};
 use crate::metrics::Summary;
 use crate::record::RunRecord;
-use crate::sweep::{default_threads, parallel_map};
 use antennae_core::antenna::AntennaBudget;
 use antennae_core::batch::BatchOrienter;
 use antennae_core::bounds;
 use antennae_core::solver::implemented_radius_guarantee;
 use antennae_core::verify::VerificationEngine;
 use antennae_geometry::PI;
+use antennae_parallel::{default_threads, parallel_map};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 

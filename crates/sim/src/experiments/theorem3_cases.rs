@@ -12,11 +12,11 @@
 
 use crate::experiments::common::{fmt_bound, TextTable};
 use crate::generators::{standard_workloads, PointSetGenerator};
-use crate::sweep::{default_threads, parallel_map};
 use antennae_core::algorithms::theorem3::{self, CaseLabel};
 use antennae_core::instance::Instance;
 use antennae_core::verify::verify;
 use antennae_geometry::PI;
+use antennae_parallel::{default_threads, parallel_map};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;

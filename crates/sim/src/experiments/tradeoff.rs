@@ -12,13 +12,13 @@
 use crate::experiments::common::{fmt_bound, TextTable};
 use crate::generators::{standard_workloads, PointSetGenerator};
 use crate::record::SeriesPoint;
-use crate::sweep::{default_threads, parallel_map};
 use antennae_core::antenna::AntennaBudget;
 use antennae_core::bounds::table1_radius;
 use antennae_core::instance::Instance;
 use antennae_core::solver::{implemented_radius_guarantee, Solver};
 use antennae_core::verify::verify_with_budget;
 use antennae_geometry::PI;
+use antennae_parallel::{default_threads, parallel_map};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 

@@ -24,8 +24,6 @@
 //! * [`interference`] — receivers-per-sector interference metric.
 //! * [`metrics`] — summary statistics helpers.
 //! * [`record`] — serde-serializable experiment records.
-//! * [`sweep`] — parallel parameter sweeps (order-preserving scoped-thread
-//!   map, shared with `antennae_core::batch`).
 //! * [`experiments`] — one driver per table/figure: Table 1, Lemma 1 /
 //!   Figure 1, Facts 1–2 / Figure 2, the Theorem 3 case histograms /
 //!   Figures 3–4, the chain constructions / Figures 5–6, the spread–radius
@@ -44,6 +42,5 @@ pub mod interference;
 pub mod metrics;
 pub mod record;
 pub mod serve_script;
-pub mod sweep;
 
 pub use generators::PointSetGenerator;

@@ -44,9 +44,10 @@ pub struct StoreConfig {
     pub compact_records: u64,
     /// Compact once the current log holds at least this many bytes.
     pub compact_bytes: u64,
-    /// The shard spec every tenant is built with — by [`Store::recover`],
-    /// and by a durable service for `CREATE` (the orientd `--shards` flag).
-    /// Bit-exact either way; it only sets what edits cost.
+    /// The shard spec that tiles every tenant's spatial index — at
+    /// [`Store::recover`], and at `CREATE` on a durable service (the
+    /// orientd `--shards` flag).  The MST is built by the global engine
+    /// either way; the spec is bit-exact and only sets what edits cost.
     pub shards: ShardSpec,
 }
 

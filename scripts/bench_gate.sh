@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Bench regression gate: runs scripts/bench_smoke.sh into BENCH_10.json and
-# compares every workload that also appears in the previous committed
-# BENCH_*.json, failing when any entry regressed by more than the gate
-# factor.
+# Bench regression gate: runs scripts/bench_smoke.sh into BENCH_<N+1>.json,
+# where BENCH_<N>.json is the highest committed trajectory point, and
+# compares every workload that also appears in BENCH_<N>.json, failing when
+# any entry regressed by more than the gate factor.
 #
 #   ./scripts/bench_gate.sh                 # gate at the default 2.0x
 #   BENCH_GATE_FACTOR=1.5 ./scripts/bench_gate.sh   # stricter gate
-#   ./scripts/bench_gate.sh --check-only    # compare an existing BENCH_10.json
+#   ./scripts/bench_gate.sh --check-only    # compare an existing BENCH_<N+1>.json
 #                                           # without re-running the benches
 #
 # Knobs:
@@ -22,19 +22,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FACTOR="${BENCH_GATE_FACTOR:-2.0}"
-CURRENT="BENCH_10.json"
 
-# Previous trajectory point: the highest-numbered committed BENCH_*.json
-# other than the current output.
-PREV=""
-for f in $(ls BENCH_*.json 2>/dev/null | sort -V); do
-    [[ "$f" == "$CURRENT" ]] && continue
-    PREV="$f"
-done
-if [[ -z "$PREV" ]]; then
-    echo "bench_gate: no previous BENCH_*.json to compare against; nothing to gate"
+# Previous trajectory point: the highest-numbered committed BENCH_*.json;
+# this run writes the one after it.
+LAST="$(git ls-files 'BENCH_*.json' | sed -n 's/^BENCH_\([0-9]*\)\.json$/\1/p' | sort -n | tail -n 1)"
+if [[ -z "$LAST" ]]; then
+    echo "bench_gate: no committed BENCH_*.json to compare against; nothing to gate"
     exit 0
 fi
+PREV="BENCH_${LAST}.json"
+CURRENT="BENCH_$((LAST + 1)).json"
 
 if [[ "${1:-}" != "--check-only" ]]; then
     ./scripts/bench_smoke.sh "$CURRENT"

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Bench smoke run: quick-mode passes of the headline criterion benches
 # (traversal, verification, dispatch_policy, dynamic, parallel, serve,
-# store, shard, mst_scaling), parsed into BENCH_10.json so every PR leaves a machine-readable
-# point on the bench trajectory.  `scripts/bench_gate.sh` compares this
-# output against the previous committed BENCH_*.json.
+# store, shard, mst_scaling), parsed into the next trajectory point — one
+# past the highest committed BENCH_N.json — so every PR leaves a
+# machine-readable point on the bench trajectory.  `scripts/bench_gate.sh`
+# compares this output against the highest committed BENCH_N.json.
 #
 #   ./scripts/bench_smoke.sh            # quick mode (40 ms budget per bench)
 #   CRITERION_STUB_MS=200 ./scripts/bench_smoke.sh   # steadier numbers
@@ -17,7 +18,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 QUICK_MS="${CRITERION_STUB_MS:-40}"
-OUT="${1:-BENCH_10.json}"
+LAST="$(git ls-files 'BENCH_*.json' | sed -n 's/^BENCH_\([0-9]*\)\.json$/\1/p' | sort -n | tail -n 1)"
+OUT="${1:-BENCH_$((${LAST:-0} + 1)).json}"
 BENCHES=(traversal verification dispatch_policy dynamic parallel serve store shard mst_scaling)
 
 RAW="$(mktemp)"

@@ -35,10 +35,11 @@
 //!   trimmed contents) before any verb other than `PING`.
 //! * `--shards auto|N|off` — spatial sharding for every deployment
 //!   (created or recovered), default `auto`: large deployments get a
-//!   per-tile kd/MST forest so one edit repairs inside its ~10³-point
-//!   tile.  `N` forces an N×N tile grid, `off` keeps every deployment on
-//!   one tile.  Bit-exact either way — the flag only changes what edits
-//!   and recovery cost.
+//!   per-tile kd forest as their spatial index, so one edit queries and
+//!   rebuilds ~10³-point tiles.  `N` forces an N×N tile grid (at most
+//!   `⌊√n⌋` per axis for `n` sensors), `off` keeps every deployment on one
+//!   tile.  The MST is always built by the one global engine, so the flag
+//!   is bit-exact either way and only changes what edits cost.
 //!
 //! Unknown or malformed flags exit with status 2 and print the usage line
 //! to stderr.  The process exits cleanly after a `SHUTDOWN` request.
@@ -76,7 +77,7 @@ struct Args {
 fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         listen: "127.0.0.1:7011".to_string(),
-        threads: antennae::core::parallel::default_threads(),
+        threads: antennae_parallel::default_threads(),
         print_port: false,
         data_dir: None,
         sync: None,

@@ -68,10 +68,6 @@ pub use antennae_store as store;
 
 /// Convenience re-exports of the types used by almost every application.
 pub mod prelude {
-    // The deprecated dispatch shims stay re-exported so pre-0.2 callers keep
-    // compiling; new code should use `Solver`.
-    #[allow(deprecated)]
-    pub use antennae_core::algorithms::dispatch::{orient, orient_with_report};
     pub use antennae_core::algorithms::AlgorithmKind;
     pub use antennae_core::antenna::{Antenna, AntennaBudget, SensorAssignment};
     pub use antennae_core::batch::{BatchOrienter, InstanceBatch};

@@ -548,10 +548,11 @@ fn replay_matches_on_duplicate_free_lattice_scripts() {
 }
 
 #[test]
-fn replay_of_a_sharded_size_tenant_runs_the_stitched_build() {
+fn replay_of_a_sharded_size_tenant_recovers_onto_a_grid_index() {
     // Above AUTO_SHARD_MIN_POINTS the replay's default spec resolves to a
-    // grid, so recovery takes the per-tile build + stitch while the lived
-    // session runs on one tile.
+    // grid, so the recovered session edits through a tiled index while the
+    // lived session runs on one tile; both bulk builds are the global
+    // engine, and the replay must stay bit-equal to the lived history.
     let n = AUTO_SHARD_MIN_POINTS + 100;
     let points = PointSetGenerator::UniformSquare { n, side: 64.0 }.generate(17);
     let budget = AntennaBudget::new(2, theorem2_spread_threshold(2));

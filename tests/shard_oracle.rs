@@ -1,31 +1,31 @@
-//! The shard oracle: the sharded engines must be **bit-exact** to the global
-//! ones — not statistically close, the same `f64`s.
+//! The shard oracle: a sharded deployment must be **bit-exact** to an
+//! unsharded one — not statistically close, the same `f64`s.
 //!
-//! Static side: [`ShardedInstance::build_with_threads`] (per-tile kd/Borůvka
-//! forests + cross-tile stitch) against [`Instance::new`], over stochastic
-//! and extremal workloads × tile counts × thread counts.  The equality bar is
-//! the full structure: MST edge set (endpoints and `f64::to_bits` weights),
-//! `lmax`, total weight — and, downstream, the solver's scheme and the
-//! verification report, which inherit bit-equality from the substrate.
+//! Sharding partitions only the dynamic spatial index the edits query (a
+//! per-tile kd forest); every bulk MST build is the one global engine.  So
+//! the oracle runs a [`DynamicInstance::new_sharded`] session against a
+//! [`ShardSpec::Off`] session — the one-tile index running the same
+//! bounded-star insert and removal repair — over the same edit script, and
+//! compares them after construction and after **every** edit: live ids,
+//! `lmax` and MST weight bits, changed sets, scheme, digraph and report.
+//! The inputs are the stochastic and extremal generators, degenerate sets
+//! (duplicates, collinear, clustered, coincident), scripted moves that
+//! cross tile boundaries and drain/regrow sequences, and a property test
+//! whose moves are drawn across the whole bounding box, so boundary
+//! crossings are the common case, not the exception.
 //!
-//! Dynamic side: a [`DynamicInstance::new_sharded`] deployment under an edit
-//! script against the unsharded one — [`ShardSpec::Off`], the one-tile index
-//! running the same bounded-star insert — applying the same script, compared
-//! after **every** edit (including moves that cross tile boundaries and
-//! drain/regrow sequences).  The property test fuzzes random scripts whose
-//! moves are drawn across the whole bounding box, so boundary crossings are
-//! the common case, not the exception.
-//!
-//! Why equality is exact and not approximate: all engines reduce to the same
-//! perturbed total order on candidate edges (weight, then endpoint slots), so
-//! the MST is *unique* under that order and every correct algorithm —
-//! whatever its tile decomposition, stitch schedule or thread count — must
+//! Why equality is exact and not approximate: every index query is a pure
+//! function of the live point set (ties broken by slot), and all engines
+//! reduce to the same perturbed total order on candidate edges (weight, then
+//! endpoint slots), so the MST is *unique* under that order and every
+//! correct repair — whatever tile decomposition served its queries — must
 //! return it.  See `docs/ARCHITECTURE.md` ("Spatial sharding").
 
 use antennae::core::antenna::AntennaBudget;
 use antennae::core::bounds::theorem2_spread_threshold;
 use antennae::core::dynamic::{DynamicInstance, DynamicSolverSession, Edit};
-use antennae::core::shard::{ShardSpec, ShardedInstance};
+use antennae::core::shard::ShardSpec;
+use antennae::geometry::Aabb;
 use antennae::prelude::*;
 use antennae::sim::generators::{extremal_workloads, standard_workloads};
 use proptest::prelude::*;
@@ -44,103 +44,6 @@ fn edge_set(instance: &Instance) -> Vec<(usize, usize, u64)> {
         .collect();
     edges.sort_unstable();
     edges
-}
-
-/// The static bar: substrate bit-equality, then scheme/report equality of the
-/// full solve + verify pipeline run on both instances.
-fn assert_static_bit_equal(points: &[Point], spec: ShardSpec, threads: usize) {
-    let sharded = ShardedInstance::build_with_threads(points, spec, threads).expect("sharded");
-    let global = Instance::new(points.to_vec()).expect("global");
-    let label = format!("spec={spec} threads={threads} n={}", points.len());
-
-    assert_eq!(
-        sharded.instance().lmax().to_bits(),
-        global.lmax().to_bits(),
-        "lmax bits ({label})"
-    );
-    assert_eq!(
-        sharded.instance().mst().total_weight().to_bits(),
-        global.mst().total_weight().to_bits(),
-        "total weight bits ({label})"
-    );
-    assert_eq!(
-        edge_set(sharded.instance()),
-        edge_set(&global),
-        "MST edge set ({label})"
-    );
-
-    let budget = theorem2_budget();
-    let a = Solver::on(sharded.instance())
-        .with_budget(budget)
-        .run()
-        .expect("solve sharded");
-    let b = Solver::on(&global)
-        .with_budget(budget)
-        .run()
-        .expect("solve global");
-    assert_eq!(a.scheme, b.scheme, "scheme ({label})");
-    let ra = verify(sharded.instance(), &a.scheme);
-    let rb = verify(&global, &b.scheme);
-    assert_eq!(ra, rb, "report ({label})");
-}
-
-#[test]
-fn static_build_matches_global_across_workloads_tiles_and_threads() {
-    let mut workloads: Vec<(String, Vec<Point>)> = Vec::new();
-    for generator in standard_workloads().into_iter().chain(extremal_workloads()) {
-        workloads.push((generator.label(), generator.generate(0xC0FFEE)));
-    }
-    for (name, points) in &workloads {
-        for spec in [ShardSpec::Grid(2), ShardSpec::Grid(3), ShardSpec::Grid(5)] {
-            for threads in [1, 4] {
-                assert_static_bit_equal(points, spec, threads);
-                let _ = name;
-            }
-        }
-    }
-}
-
-#[test]
-fn static_build_auto_shards_and_matches_at_scale() {
-    // Auto only engages at AUTO_SHARD_MIN_POINTS; build one workload above it.
-    let points = PointSetGenerator::UniformSquare {
-        n: 5000,
-        side: 50.0,
-    }
-    .generate(7);
-    let sharded = ShardedInstance::build(&points, ShardSpec::Auto).expect("sharded");
-    assert!(
-        sharded.report().is_some(),
-        "auto must shard 5000 uniform points"
-    );
-    for threads in [1, 4] {
-        assert_static_bit_equal(&points, ShardSpec::Auto, threads);
-    }
-}
-
-#[test]
-fn static_build_survives_degenerate_workloads() {
-    // Duplicates on an integer grid (tie-heavy), a collinear path, a cluster
-    // leaving most tiles empty, and an all-coincident set (degenerate bbox).
-    let mut duplicated: Vec<Point> = (0..300)
-        .map(|i| Point::new((i % 10) as f64, (i / 10) as f64 % 10.0))
-        .collect();
-    duplicated.extend((0..100).map(|i| Point::new((i % 10) as f64, (i % 7) as f64)));
-    let collinear: Vec<Point> = (0..200).map(|i| Point::new(i as f64, 0.0)).collect();
-    let clustered: Vec<Point> = (0..256)
-        .map(|i| Point::new(100.0 + (i % 16) as f64 * 0.1, 200.0 + (i / 16) as f64 * 0.1))
-        .chain([Point::new(0.0, 0.0)])
-        .collect();
-    for points in [&duplicated, &collinear, &clustered] {
-        for spec in [ShardSpec::Grid(2), ShardSpec::Grid(4)] {
-            assert_static_bit_equal(points, spec, 2);
-        }
-    }
-    // Coincident points cannot resolve a grid; the build must fall back.
-    let coincident = vec![Point::new(3.0, 3.0); 12];
-    let built = ShardedInstance::build(&coincident, ShardSpec::Grid(4)).expect("fallback");
-    assert!(built.report().is_none(), "degenerate bbox must stay global");
-    assert_eq!(built.instance().len(), 12);
 }
 
 /// Session-level bit-equality after an edit (the dynamic bar).
@@ -168,6 +71,118 @@ fn assert_sessions_agree(sharded: &mut DynamicSolverSession, global: &mut Dynami
     assert_eq!(sharded.scheme(), global.scheme(), "scheme");
     assert_eq!(sharded.digraph(), global.digraph(), "digraph");
     assert_eq!(sharded.report(), global.report(), "report");
+}
+
+/// A short script that any deployment of ≥ 2 sensors accepts: a move onto
+/// another sensor (a coincident pair), a move onto the box centre (a tile
+/// corner of every even grid), inserts outside the box (clamped into an edge
+/// tile) and on its corner, a removal, and a move of a fresh insert across
+/// the whole deployment.
+fn short_script(points: &[Point]) -> Vec<Edit> {
+    let n = points.len();
+    let bbox = Aabb::from_points(points).expect("non-empty deployment");
+    let (lo, hi) = (bbox.min, bbox.max);
+    let centre = Point::new((lo.x + hi.x) / 2.0, (lo.y + hi.y) / 2.0);
+    vec![
+        Edit::Move(0, points[n - 1]),
+        Edit::Move(n / 2, centre),
+        Edit::Insert(Point::new(hi.x + 1.0, hi.y + 0.5)),
+        Edit::Insert(lo),
+        Edit::Remove(n - 1),
+        Edit::Move(n, Point::new(lo.x, hi.y)),
+    ]
+}
+
+/// The sharded-vs-one-tile bar over one deployment: the sharded session's
+/// bulk build is the global static build (edge set and weight bits of
+/// [`Instance::new`]), and both sessions agree after construction and after
+/// every edit of [`short_script`].
+fn assert_sharded_session_matches_one_tile(points: &[Point], spec: ShardSpec) {
+    let label = format!("spec={spec} n={}", points.len());
+    let budget = theorem2_budget();
+    let mut sharded = DynamicSolverSession::new(
+        DynamicInstance::new_sharded(points, spec).expect("sharded"),
+        budget,
+    )
+    .expect("session");
+    let mut one_tile = DynamicSolverSession::new(
+        DynamicInstance::new_sharded(points, ShardSpec::Off).expect("one tile"),
+        budget,
+    )
+    .expect("session");
+    let global = Instance::new(points.to_vec()).expect("global");
+    assert_eq!(
+        edge_set(sharded.materialized().expect("materialize")),
+        edge_set(&global),
+        "bulk build vs the global engine ({label})"
+    );
+    assert_sessions_agree(&mut sharded, &mut one_tile);
+    for edit in short_script(points) {
+        let a = sharded.apply(edit).expect("sharded edit");
+        let b = one_tile.apply(edit).expect("one-tile edit");
+        assert_eq!(a.mst_changed, b.mst_changed, "{edit:?} ({label})");
+        assert_sessions_agree(&mut sharded, &mut one_tile);
+    }
+}
+
+#[test]
+fn sharded_sessions_match_one_tile_across_workloads() {
+    for generator in standard_workloads().into_iter().chain(extremal_workloads()) {
+        let points = generator.generate(0xC0FFEE);
+        for spec in [ShardSpec::Grid(2), ShardSpec::Grid(3), ShardSpec::Grid(5)] {
+            assert!(
+                spec.resolve(&points).is_some(),
+                "{} must shard under {spec}",
+                generator.label()
+            );
+            assert_sharded_session_matches_one_tile(&points, spec);
+        }
+    }
+}
+
+#[test]
+fn auto_sharded_session_matches_one_tile_at_scale() {
+    // Auto only engages at AUTO_SHARD_MIN_POINTS; build one workload above it.
+    let points = PointSetGenerator::UniformSquare {
+        n: 5000,
+        side: 50.0,
+    }
+    .generate(7);
+    let inst = DynamicInstance::new_sharded(&points, ShardSpec::Auto).expect("sharded");
+    assert!(
+        inst.shard_grid().is_some(),
+        "auto must shard 5000 uniform points"
+    );
+    assert_sharded_session_matches_one_tile(&points, ShardSpec::Auto);
+}
+
+#[test]
+fn sharded_sessions_survive_degenerate_workloads() {
+    // Duplicates on an integer grid (tie-heavy), a collinear path, a cluster
+    // leaving most tiles empty, and an all-coincident set (degenerate bbox).
+    let mut duplicated: Vec<Point> = (0..300)
+        .map(|i| Point::new((i % 10) as f64, (i / 10) as f64 % 10.0))
+        .collect();
+    duplicated.extend((0..100).map(|i| Point::new((i % 10) as f64, (i % 7) as f64)));
+    let collinear: Vec<Point> = (0..200).map(|i| Point::new(i as f64, 0.0)).collect();
+    let clustered: Vec<Point> = (0..256)
+        .map(|i| Point::new(100.0 + (i % 16) as f64 * 0.1, 200.0 + (i / 16) as f64 * 0.1))
+        .chain([Point::new(0.0, 0.0)])
+        .collect();
+    for points in [&duplicated, &collinear, &clustered] {
+        for spec in [ShardSpec::Grid(2), ShardSpec::Grid(4)] {
+            assert!(spec.resolve(points).is_some());
+            assert_sharded_session_matches_one_tile(points, spec);
+        }
+    }
+    // Coincident points cannot resolve a grid; the index keeps one tile.
+    let coincident = vec![Point::new(3.0, 3.0); 12];
+    let inst = DynamicInstance::new_sharded(&coincident, ShardSpec::Grid(4)).expect("one tile");
+    assert!(
+        inst.shard_grid().is_none(),
+        "degenerate bbox keeps one tile"
+    );
+    assert_sharded_session_matches_one_tile(&coincident, ShardSpec::Grid(4));
 }
 
 #[test]

@@ -3,10 +3,9 @@
 //! The `(k, φ_k)` → algorithm decision table used to be a hard-coded `match`
 //! in `dispatch::orient_with_report`.  It now lives in the
 //! [`Registry`]-driven solver, and these tests pin that
-//! `SelectionPolicy::BestGuarantee` (and therefore the deprecated shims)
-//! returns **bit-identical** `(algorithm, guaranteed_radius)` pairs to the
-//! pre-redesign dispatcher across the full `(k ∈ 1..=5) × (φ ∈ 0..2π)`
-//! grid.  `legacy_dispatch` below is a line-for-line reimplementation of the
+//! `SelectionPolicy::BestGuarantee` returns **bit-identical**
+//! `(algorithm, guaranteed_radius)` pairs to the pre-redesign dispatcher
+//! across the full `(k ∈ 1..=5) × (φ ∈ 0..2π)` grid.  `legacy_dispatch` below is a line-for-line reimplementation of the
 //! retired `match`.
 
 use antennae::core::algorithms::{chains, theorem3, AlgorithmKind};
@@ -81,28 +80,27 @@ fn best_guarantee_selection_is_bit_identical_to_legacy_dispatch() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn shims_run_bit_identically_to_legacy_dispatch_on_seeded_instances() {
-    use antennae::core::algorithms::dispatch::{orient, orient_with_report};
-
+fn best_guarantee_runs_bit_identically_to_legacy_dispatch_on_seeded_instances() {
     let generator = PointSetGenerator::UniformSquare { n: 35, side: 10.0 };
     let instance = Instance::new(generator.generate(99)).unwrap();
     for k in 1..=5usize {
         for &phi in &phi_grid() {
             let budget = AntennaBudget::new(k, phi);
             let (expected_algorithm, expected_guarantee) = legacy_dispatch(k, phi).unwrap();
-            let outcome = orient_with_report(&instance, budget).unwrap();
+            let outcome = Solver::on(&instance)
+                .with_budget(budget)
+                .policy(SelectionPolicy::BestGuarantee)
+                .run()
+                .unwrap();
             assert_eq!(outcome.algorithm, expected_algorithm, "k={k} phi={phi}");
             assert_eq!(
                 outcome.guaranteed_radius_over_lmax, expected_guarantee,
                 "k={k} phi={phi}"
             );
-            // The scheme-only shim and the solver agree too.
-            let scheme = orient(&instance, budget).unwrap();
-            assert_eq!(scheme, outcome.scheme, "k={k} phi={phi}");
-            let solver = Solver::on(&instance).with_budget(budget).run().unwrap();
-            assert_eq!(solver.algorithm, expected_algorithm);
-            assert_eq!(solver.scheme, outcome.scheme);
+            // The default policy is BestGuarantee: same algorithm, same scheme.
+            let default = Solver::on(&instance).with_budget(budget).run().unwrap();
+            assert_eq!(default.algorithm, expected_algorithm, "k={k} phi={phi}");
+            assert_eq!(default.scheme, outcome.scheme, "k={k} phi={phi}");
         }
     }
 }
@@ -137,20 +135,26 @@ proptest! {
         prop_assert_eq!(selected, legacy_dispatch(k, phi), "k={} phi={}", k, phi);
     }
 
-    /// Seeded property test over real instances: the shim and the solver
-    /// produce identical outcomes.
+    /// Seeded property test over real instances: a `BestGuarantee` run
+    /// reports the legacy table's algorithm and guarantee, and the default
+    /// policy runs the identical scheme.
     #[test]
-    #[allow(deprecated)]
-    fn prop_shim_and_solver_agree_on_instances(seed in 0u64..50, k in 1usize..=5, phi in 0.0..TAU) {
-        use antennae::core::algorithms::dispatch::orient_with_report;
+    fn prop_best_guarantee_matches_legacy_dispatch_on_instances(
+        seed in 0u64..50, k in 1usize..=5, phi in 0.0..TAU
+    ) {
         let generator = PointSetGenerator::UniformSquare { n: 25, side: 8.0 };
         let instance = Instance::new(generator.generate(seed)).unwrap();
         let budget = AntennaBudget::new(k, phi);
-        let shim = orient_with_report(&instance, budget).unwrap();
-        let solver = Solver::on(&instance).with_budget(budget).run().unwrap();
-        prop_assert_eq!(shim.algorithm, solver.algorithm);
-        prop_assert_eq!(shim.guaranteed_radius_over_lmax, solver.guaranteed_radius_over_lmax);
-        prop_assert_eq!(shim.scheme, solver.scheme);
+        let (expected_algorithm, expected_guarantee) = legacy_dispatch(k, phi).unwrap();
+        let best = Solver::on(&instance)
+            .with_budget(budget)
+            .policy(SelectionPolicy::BestGuarantee)
+            .run()
+            .unwrap();
+        let default = Solver::on(&instance).with_budget(budget).run().unwrap();
+        prop_assert_eq!(best.algorithm, expected_algorithm);
+        prop_assert_eq!(best.guaranteed_radius_over_lmax, expected_guarantee);
+        prop_assert_eq!(best.scheme, default.scheme);
     }
 }
 
