@@ -1,17 +1,13 @@
 //! Scaling ablation of the two Euclidean MST engines: O(n²) dense Prim vs
-//! the kd-tree Borůvka engine, on identical point sets — plus the
-//! million-sensor build pipeline.
+//! Delaunay → Kruskal, on identical point sets — plus the million-sensor
+//! build pipeline.
 //!
 //! The interesting outputs:
 //!
-//! * the engine crossover — dense Prim wins at small `n` (no spatial index
-//!   to build), the kd-tree engine wins from well below n = 2000 and the gap
-//!   widens roughly linearly in `n` afterwards; `Auto` should track the
-//!   better of the two at every size;
-//! * `mst_scaling/kd_threads/*` — the same kd-tree build at 1 worker vs the
-//!   session default, isolating the parallel fan-out term (on the 1-core CI
-//!   container the two coincide; on real multi-core hardware the gap is the
-//!   point of the ablation);
+//! * the engine crossover — dense Prim wins at small `n` (nothing to build
+//!   first), the Delaunay engine wins from about n = 128
+//!   (`DELAUNAY_CROSSOVER`) and the gap widens roughly linearly in `n`
+//!   afterwards; `Auto` should track the better of the two at every size;
 //! * `build_pipeline/solve_verify/*` — the full Instance → orient → verify
 //!   pipeline at n = 10⁵, the PR-8 headline workload.
 //!
@@ -25,11 +21,10 @@ use antennae_core::instance::Instance;
 use antennae_core::solver::Solver;
 use antennae_core::verify::VerificationEngine;
 use antennae_graph::euclidean::{EuclideanMst, MstEngine};
-use antennae_parallel::default_threads;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-const SIZES: &[usize] = &[125, 250, 500, 1000, 2000, 4000, 8000, 100_000];
+const SIZES: &[usize] = &[64, 125, 250, 500, 1000, 2000, 4000, 8000, 100_000];
 
 /// Returns `true` when the minutes-long n = 10⁶ configurations were opted
 /// into via `ANTENNAE_BENCH_FULL=1`.
@@ -60,36 +55,12 @@ fn bench_dense_prim(c: &mut Criterion) {
     bench_engine(c, "mst_scaling/dense_prim", MstEngine::DensePrim);
 }
 
-fn bench_kdtree_boruvka(c: &mut Criterion) {
-    bench_engine(c, "mst_scaling/kdtree_boruvka", MstEngine::KdTreeBoruvka);
+fn bench_delaunay(c: &mut Criterion) {
+    bench_engine(c, "mst_scaling/delaunay", MstEngine::Delaunay);
 }
 
 fn bench_auto(c: &mut Criterion) {
     bench_engine(c, "mst_scaling/auto", MstEngine::Auto);
-}
-
-/// Thread ablation of the kd-tree engine at n = 10⁵: forced-serial vs the
-/// session default.  The two produce bit-identical trees (pinned by
-/// `tests/parallel_build_oracle.rs`), so any wall-clock difference is pure
-/// fan-out.  Read together with the machine's core count: on the 1-core CI
-/// container `default_threads()` is 1 and the ids coincide by construction.
-fn bench_kd_threads(c: &mut Criterion) {
-    let mut group = c.benchmark_group("mst_scaling/kd_threads");
-    let n = 100_000;
-    let points = uniform_points(n, 42);
-    for (label, threads) in [("serial", 1), ("default", default_threads())] {
-        group.bench_with_input(BenchmarkId::new(label, n), &points, |b, pts| {
-            b.iter(|| {
-                EuclideanMst::build_with_engine_threads(
-                    black_box(pts),
-                    MstEngine::KdTreeBoruvka,
-                    threads,
-                )
-                .unwrap()
-            })
-        });
-    }
-    group.finish();
 }
 
 /// The full build pipeline — Instance (MST) → Theorem-2 orientation →
@@ -123,9 +94,8 @@ fn bench_build_pipeline(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_dense_prim,
-    bench_kdtree_boruvka,
+    bench_delaunay,
     bench_auto,
-    bench_kd_threads,
     bench_build_pipeline
 );
 criterion_main!(benches);

@@ -149,9 +149,8 @@ impl DynamicInstance {
         }
         let live: Vec<Point> = entries.iter().map(|&(_, p)| p).collect();
         let grid = spec.resolve(&live).unwrap_or_else(TileGrid::single);
-        let emst =
-            DynamicEmst::from_entries(entries, next_id, grid, antennae_parallel::default_threads())
-                .map_err(|e| OrientError::MstConstruction(e.to_string()))?;
+        let emst = DynamicEmst::from_entries(entries, next_id, grid)
+            .map_err(|e| OrientError::MstConstruction(e.to_string()))?;
         Ok(DynamicInstance { emst, cache: None })
     }
 

@@ -149,6 +149,26 @@ mod tests {
         ));
     }
 
+    /// A NaN or infinite coordinate is an MST construction error, at sizes
+    /// on both sides of the engine crossover.
+    #[test]
+    fn non_finite_coordinates_are_rejected() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            for n in [10usize, 2000] {
+                let mut points: Vec<Point> = (0..n)
+                    .map(|i| Point::new((i * 7919 % 1000) as f64, (i * 104_729 % 997) as f64))
+                    .collect();
+                points[n - 1] = Point::new(bad, 1.0);
+                match Instance::new(points) {
+                    Err(OrientError::MstConstruction(msg)) => {
+                        assert!(msg.contains("non-finite"), "{msg}")
+                    }
+                    other => panic!("{bad} among {n}: expected MstConstruction, got {other:?}"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn single_sensor_instance() {
         let inst = Instance::new(vec![Point::new(1.0, 1.0)]).unwrap();

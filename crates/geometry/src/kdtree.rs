@@ -1,25 +1,25 @@
-//! A 2-d tree (kd-tree) over points, supporting nearest-neighbour,
-//! nearest-foreign-component and range queries.
+//! A 2-d tree (kd-tree) over points, supporting nearest-neighbour and
+//! range queries.
 //!
-//! The sub-quadratic Euclidean MST builder in `antennae-graph` drives its
-//! Borůvka rounds through [`KdIndex::nearest_foreign`] (the nearest point
-//! that belongs to a *different* connected component), and the simulation
-//! crate uses range queries to compute interference metrics (receivers
-//! inside a sector).
+//! The verification engine in `antennae-core` issues one range query per
+//! sensor to rebuild the induced digraph, the dynamic index in
+//! [`crate::dynamic`] answers the incremental MST's nearest queries, the
+//! Euclidean MST builder's rounding guard collects balls through
+//! [`KdIndex::within_radius`], and the simulation crate uses range queries
+//! to compute interference metrics (receivers inside a sector).
 //!
-//! Ties on distance are broken towards the smaller point index everywhere, so
-//! every query is deterministic even on degenerate inputs (duplicate points,
-//! co-circular neighbours) **and independent of the tree's internal layout**:
-//! a query's answer is a pure function of the point set.  The MST builder
-//! relies on that determinism for its tie-broken total order on candidate
-//! edges, and the parallel construction below relies on the layout
-//! independence for its bit-equality guarantee.
+//! Nearest queries order candidates by the computed length
+//! [`Point::distance`], then by index, so every query is deterministic even
+//! on degenerate inputs (duplicate points, co-circular neighbours, distinct
+//! squared lengths that round to one length) **and independent of the
+//! tree's internal layout**: a query's answer is a pure function of the
+//! point set, in the same `(length, index)` order the MST engines use for
+//! edges.
 //!
 //! # Two flavours
 //!
 //! * [`KdIndex`] — the index alone, borrowing the point slice at every
-//!   query.  This is what the million-sensor build pipeline uses: the MST
-//!   engine already owns the points, so indexing them must not copy them.
+//!   query, so indexing points the caller already owns copies nothing.
 //! * [`KdTree`] — an index bundled with an owned copy of the points, for
 //!   callers that want a self-contained value (the verification session, the
 //!   dynamic snapshot index).  [`KdTree::build_owned`] takes the point
@@ -30,28 +30,17 @@
 //!
 //! Nodes are found by **median selection** (`select_nth_unstable_by`), not
 //! by sorting: each level partitions its slice around the median of the
-//! splitting axis in O(len), for O(n log n) total.  (An earlier
-//! implementation re-sorted the full index slice with a stable sort at every
-//! level — O(n log² n) with a large constant, and the dominant cost of
-//! million-point builds.)  [`KdIndex::build_with_threads`] additionally fans
-//! subtree construction out over worker threads: the top of the tree is
-//! partitioned serially until the pending subtrees are small enough, then
-//! each subtree is built as an independent task.  The partition performed
-//! for a given subtree is the same whether it runs inline or in a task, so
-//! serial and parallel builds produce the *identical logical tree* — and
-//! queries would agree even if they didn't, by the layout independence noted
-//! above.
+//! splitting axis in O(len), for O(n log n) total.  The build is serial.
 
 use crate::point::Point;
-use antennae_parallel::parallel_map;
-use std::sync::Mutex;
 
 /// Sentinel for "no node" in the flat child links.
 const NONE: u32 = u32::MAX;
 
-/// Smallest point count for which a parallel build is attempted; below this
-/// the thread-scope setup costs more than the whole build.
-const PARALLEL_BUILD_MIN: usize = 8192;
+/// Widening of a squared bound: every point whose computed length rounds
+/// to at most `d` has a squared length at most `d·d·BOUND_SLACK`, so
+/// pruning against it never hides a tie.
+const BOUND_SLACK: f64 = 1.0 + 4.0 * f64::EPSILON;
 
 /// A node of the flat kd-tree: 12 bytes instead of the 40 of the earlier
 /// boxed-`Option<usize>` layout (u32 ids are exact for every supported
@@ -71,8 +60,7 @@ struct Node {
 ///
 /// Every query takes the point slice as a parameter; the caller must pass
 /// the same points (same order, same length) the index was built over.
-/// This is the zero-copy flavour the Euclidean MST engine builds over the
-/// instance's own point storage — see the module docs for the owning
+/// This is the zero-copy flavour — see the module docs for the owning
 /// [`KdTree`] wrapper.
 #[derive(Debug, Clone)]
 pub struct KdIndex {
@@ -80,35 +68,10 @@ pub struct KdIndex {
     root: u32,
 }
 
-/// A subtree deferred to the parallel phase of the build: the (already
-/// partitioned) point ids it spans, the splitting axis at its root, and the
-/// parent slot to patch once built.  The id vector sits behind a `Mutex`
-/// only so the worker can take ownership through the `&Task` that
-/// `parallel_map` hands it — each task is claimed exactly once.
-struct Task {
-    idx: Mutex<Vec<u32>>,
-    axis: u8,
-    parent: u32,
-    is_left: bool,
-}
-
 impl KdIndex {
-    /// Builds the index over `points` sequentially.  An empty slice yields
-    /// an empty index.
+    /// Builds the index over `points`.  An empty slice yields an empty
+    /// index.
     pub fn build(points: &[Point]) -> Self {
-        Self::build_with_threads(points, 1)
-    }
-
-    /// Builds the index over `points` using up to `threads` workers.
-    ///
-    /// The tree is partitioned serially from the root until the pending
-    /// subtrees are small enough to balance across workers, then each
-    /// subtree is built as an independent task over
-    /// [`antennae_parallel::parallel_map`].  The result is the identical
-    /// logical tree for every thread count (each subtree performs the same
-    /// median partition wherever it runs), so parallel construction is
-    /// invisible to queries.
-    pub fn build_with_threads(points: &[Point], threads: usize) -> Self {
         let n = points.len();
         assert!(
             n < NONE as usize,
@@ -116,51 +79,7 @@ impl KdIndex {
         );
         let mut idx: Vec<u32> = (0..n as u32).collect();
         let mut nodes: Vec<Node> = Vec::with_capacity(n);
-        if n == 0 {
-            return KdIndex { nodes, root: NONE };
-        }
-        if threads <= 1 || n < PARALLEL_BUILD_MIN {
-            let root = build_rec(points, &mut idx, 0, &mut nodes);
-            return KdIndex { nodes, root };
-        }
-
-        // Serial skeleton: partition until subtrees reach the task size.
-        // ~8 tasks per worker keeps the fan-out load-balanced even when the
-        // point distribution makes subtree costs uneven.
-        let task_len = (n / (threads * 8)).max(PARALLEL_BUILD_MIN / 16);
-        let mut tasks: Vec<Task> = Vec::new();
-        let mut root = skeleton_rec(points, &mut idx, 0, &mut nodes, &mut tasks, task_len);
-
-        // Fan out: each task builds its subtree into a local node arena with
-        // local child links.
-        let built: Vec<Vec<Node>> = parallel_map(&tasks, threads, |task| {
-            let mut idx = std::mem::take(&mut *task.idx.lock().expect("task idx poisoned"));
-            let mut local = Vec::with_capacity(idx.len());
-            build_rec(points, &mut idx, task.axis, &mut local);
-            local
-        });
-
-        // Splice: shift each arena's links by its offset and patch the
-        // parent slot (a subtree's root is the first node its arena pushed).
-        for (task, mut local) in tasks.iter().zip(built) {
-            let offset = nodes.len() as u32;
-            for node in &mut local {
-                if node.left != NONE {
-                    node.left += offset;
-                }
-                if node.right != NONE {
-                    node.right += offset;
-                }
-            }
-            nodes.extend(local);
-            if task.parent == NONE {
-                root = offset;
-            } else if task.is_left {
-                nodes[task.parent as usize].left = offset;
-            } else {
-                nodes[task.parent as usize].right = offset;
-            }
-        }
+        let root = build_rec(points, &mut idx, 0, &mut nodes);
         KdIndex { nodes, root }
     }
 
@@ -179,76 +98,27 @@ impl KdIndex {
     /// point itself, or points already attached to a growing MST).
     ///
     /// Returns `(index, distance)` or `None` when every point is skipped.
-    /// Distance ties are broken towards the smaller index.
+    /// Candidates are ordered by computed distance, then index.
     pub fn nearest_filtered<F: Fn(usize) -> bool>(
         &self,
         points: &[Point],
         query: &Point,
         skip: F,
     ) -> Option<(usize, f64)> {
-        if self.root == NONE {
-            return None;
-        }
-        // Sentinel seed: accepts any real point, never reported.
-        let mut best = (usize::MAX, f64::INFINITY);
-        self.nearest_rec(points, self.root, 0, query, &skip, &mut best);
-        (best.0 != usize::MAX).then(|| (best.0, best.1.sqrt()))
-    }
-
-    /// Nearest point to `query` whose component label differs from `label`.
-    ///
-    /// `labels[i]` is the component of indexed point `i`; points whose label
-    /// equals `label` are invisible to the search.  This is the inner query
-    /// of the kd-tree Borůvka MST engine: each Borůvka round asks, for every
-    /// vertex, for the nearest vertex *outside* its own component.  Distance
-    /// ties are broken towards the smaller index so that concurrent
-    /// component searches agree on a single total order of candidate edges.
-    ///
-    /// Returns `(index, distance)`, or `None` when every point carries
-    /// `label`.
-    pub fn nearest_foreign(
-        &self,
-        points: &[Point],
-        query: &Point,
-        labels: &[usize],
-        label: usize,
-    ) -> Option<(usize, f64)> {
-        self.nearest_foreign_within(points, query, labels, label, f64::INFINITY)
-    }
-
-    /// Like [`KdIndex::nearest_foreign`], but only reports points at
-    /// distance `max_dist` or closer.
-    ///
-    /// Subtrees beyond `max_dist` are pruned from the start, which is what
-    /// makes the Borůvka engine's late rounds cheap: once one vertex of a
-    /// component has found a nearby foreign point, its component-mates search
-    /// only within that radius.  A point at exactly `max_dist` is still
-    /// reported (the bound behaves like an already-seen candidate with an
-    /// infinite index), so a component's minimum candidate edge under the
-    /// `(distance, index)` tie order is never lost.  The bound is widened by
-    /// a few ulps before use — callers commonly pass a distance a previous
-    /// query returned, and the `sqrt`/square round-trip may otherwise land
-    /// one ulp *below* the tied candidate's squared distance and hide it; the
-    /// widening can only admit marginally farther points, never lose one,
-    /// and a returned point is always the true nearest foreigner.
-    pub fn nearest_foreign_within(
-        &self,
-        points: &[Point],
-        query: &Point,
-        labels: &[usize],
-        label: usize,
-        max_dist: f64,
-    ) -> Option<(usize, f64)> {
-        assert_eq!(labels.len(), self.len(), "one label per indexed point");
-        self.nearest_filtered_within(points, query, |i| labels[i] == label, max_dist)
+        self.nearest_filtered_within(points, query, skip, f64::INFINITY)
     }
 
     /// Like [`KdIndex::nearest_filtered`], but only reports points at
-    /// distance `max_dist` or closer — the general-predicate sibling of
-    /// [`KdIndex::nearest_foreign_within`], with the same inclusive,
-    /// ulp-widened bound semantics (a returned point is always the true
-    /// nearest non-skipped point; `None` only ever hides strictly farther
-    /// ones).  The dynamic index's snapshot queries go through it.
+    /// distance `max_dist` or closer.
+    ///
+    /// Subtrees beyond `max_dist` are pruned from the start, which is what
+    /// makes bounded searches cheap: once one candidate is known, later
+    /// searches look only within its distance.  A point at exactly
+    /// `max_dist` is still reported (the bound behaves like an already-seen
+    /// candidate with an infinite index), so a minimum under the
+    /// `(distance, index)` order is never lost.  A returned point is always
+    /// the true nearest non-skipped point; `None` only ever hides strictly
+    /// farther ones.  The dynamic index's snapshot queries go through it.
     pub fn nearest_filtered_within<F: Fn(usize) -> bool>(
         &self,
         points: &[Point],
@@ -259,10 +129,13 @@ impl KdIndex {
         if self.root == NONE {
             return None;
         }
-        let bound_sq = (max_dist * max_dist) * (1.0 + 4.0 * f64::EPSILON);
-        let mut best = (usize::MAX, bound_sq);
+        let mut best = Best {
+            index: usize::MAX,
+            dist: max_dist,
+            bound_sq: max_dist * max_dist * BOUND_SLACK,
+        };
         self.nearest_rec(points, self.root, 0, query, &skip, &mut best);
-        (best.0 != usize::MAX).then(|| (best.0, best.1.sqrt()))
+        (best.index != usize::MAX).then_some((best.index, best.dist))
     }
 
     /// Nearest neighbour of `query` (no filtering).
@@ -270,10 +143,10 @@ impl KdIndex {
         self.nearest_filtered(points, query, |_| false)
     }
 
-    /// Recursive nearest search over *squared* distances (saves a `sqrt` per
-    /// visited node).  `best` is `(index, squared distance)` with
-    /// `usize::MAX` as the not-yet-found sentinel.  The splitting axis is
-    /// the depth parity, flipped on the way down.
+    /// Recursive nearest search.  Squared distances prune and filter (a
+    /// square above `best.bound_sq` cannot round to a length at most
+    /// `best.dist`); survivors are compared by `(computed length, index)`.
+    /// The splitting axis is the depth parity, flipped on the way down.
     fn nearest_rec<F: Fn(usize) -> bool>(
         &self,
         points: &[Point],
@@ -281,15 +154,22 @@ impl KdIndex {
         axis: u8,
         query: &Point,
         skip: &F,
-        best: &mut (usize, f64),
+        best: &mut Best,
     ) {
         let node = self.nodes[node_idx as usize];
         let point_idx = node.point as usize;
         let p = &points[point_idx];
         if !skip(point_idx) {
             let d2 = query.distance_squared(p);
-            if d2 < best.1 || (d2 == best.1 && point_idx < best.0) {
-                *best = (point_idx, d2);
+            if d2 <= best.bound_sq {
+                let d = d2.sqrt();
+                if d < best.dist || (d == best.dist && point_idx < best.index) {
+                    *best = Best {
+                        index: point_idx,
+                        dist: d,
+                        bound_sq: d * d * BOUND_SLACK,
+                    };
+                }
             }
         }
         let diff = if axis == 0 {
@@ -307,7 +187,7 @@ impl KdIndex {
         }
         // `<=` (not `<`): with index tie-breaking an equally distant,
         // smaller-indexed point on the far side must still be found.
-        if diff * diff <= best.1 && far != NONE {
+        if diff * diff <= best.bound_sq && far != NONE {
             self.nearest_rec(points, far, axis ^ 1, query, skip, best);
         }
     }
@@ -369,12 +249,19 @@ impl KdIndex {
     }
 }
 
-/// Sequential recursive build over a (sub)slice of point ids: partition
+/// The incumbent of a nearest search: `index` (`usize::MAX` while only the
+/// caller's bound is known), its computed distance, and the widened square
+/// of that distance used for pruning.
+struct Best {
+    index: usize,
+    dist: f64,
+    bound_sq: f64,
+}
+
+/// Recursive build over a (sub)slice of point ids: partition
 /// around the median of the splitting axis in O(len) with
 /// `select_nth_unstable_by`, push the node, recurse into the halves.  Child
-/// links are indices into `nodes` — local to whatever arena the caller is
-/// filling, which is what lets parallel subtree tasks build into private
-/// arenas that are spliced (offset) afterwards.
+/// links are indices into `nodes`.
 fn build_rec(points: &[Point], idx: &mut [u32], axis: u8, nodes: &mut Vec<Node>) -> u32 {
     if idx.is_empty() {
         return NONE;
@@ -400,70 +287,6 @@ fn build_rec(points: &[Point], idx: &mut [u32], axis: u8, nodes: &mut Vec<Node>)
     let right_slice = &mut rest[1..];
     let left = build_rec(points, left_slice, axis ^ 1, nodes);
     let right = build_rec(points, right_slice, axis ^ 1, nodes);
-    let node = &mut nodes[node_pos as usize];
-    node.left = left;
-    node.right = right;
-    node_pos
-}
-
-/// The serial top of a parallel build: performs exactly the partitions
-/// [`build_rec`] would, but once a subslice is no longer larger than
-/// `task_len` it is deferred as a [`Task`] (the ids are moved out, the
-/// parent link patched after the fan-out).  Returns the subtree root, or
-/// [`NONE`] for an empty or deferred subtree.
-fn skeleton_rec(
-    points: &[Point],
-    idx: &mut [u32],
-    axis: u8,
-    nodes: &mut Vec<Node>,
-    tasks: &mut Vec<Task>,
-    task_len: usize,
-) -> u32 {
-    if idx.is_empty() {
-        return NONE;
-    }
-    if idx.len() <= task_len {
-        tasks.push(Task {
-            idx: Mutex::new(idx.to_vec()),
-            axis,
-            parent: NONE,
-            is_left: false,
-        });
-        return NONE;
-    }
-    let mid = idx.len() / 2;
-    idx.select_nth_unstable_by(mid, |&a, &b| {
-        let (pa, pb) = (&points[a as usize], &points[b as usize]);
-        if axis == 0 {
-            pa.x.total_cmp(&pb.x)
-        } else {
-            pa.y.total_cmp(&pb.y)
-        }
-    });
-    let node_pos = nodes.len() as u32;
-    nodes.push(Node {
-        point: idx[mid],
-        left: NONE,
-        right: NONE,
-    });
-    let (left_slice, rest) = idx.split_at_mut(mid);
-    let right_slice = &mut rest[1..];
-    let tasks_before_left = tasks.len();
-    let left = skeleton_rec(points, left_slice, axis ^ 1, nodes, tasks, task_len);
-    // A deferred child registered itself as the most recent task; wire the
-    // parent slot it must patch.
-    if left == NONE && tasks.len() > tasks_before_left {
-        let task = tasks.last_mut().expect("task was just pushed");
-        task.parent = node_pos;
-        task.is_left = true;
-    }
-    let tasks_before_right = tasks.len();
-    let right = skeleton_rec(points, right_slice, axis ^ 1, nodes, tasks, task_len);
-    if right == NONE && tasks.len() > tasks_before_right {
-        let task = tasks.last_mut().expect("task was just pushed");
-        task.parent = node_pos;
-        task.is_left = false;
-    }
     let node = &mut nodes[node_pos as usize];
     node.left = left;
     node.right = right;
@@ -619,35 +442,51 @@ mod tests {
     }
 
     #[test]
-    fn nearest_foreign_skips_own_component() {
+    fn label_filtered_nearest_skips_own_component() {
         let pts = sample_points();
         let t = KdIndex::build(&pts);
         // Points 0 and 5 share component 7; the nearest foreigner of point 0
         // must therefore be point 1, not the closer point 5.
-        let labels = vec![7, 1, 1, 2, 2, 7];
-        let (idx, d) = t.nearest_foreign(&pts, &pts[0], &labels, 7).unwrap();
+        let labels = [7, 1, 1, 2, 2, 7];
+        let (idx, d) = t
+            .nearest_filtered(&pts, &pts[0], |i| labels[i] == 7)
+            .unwrap();
         assert_eq!(idx, 1);
         assert!((d - pts[0].distance(&pts[1])).abs() < 1e-12);
         // A component holding every point sees no foreigner.
-        let all_same = vec![3; pts.len()];
-        assert!(t.nearest_foreign(&pts, &pts[0], &all_same, 3).is_none());
+        assert!(t.nearest_filtered(&pts, &pts[0], |_| true).is_none());
     }
 
     #[test]
-    fn nearest_foreign_within_respects_the_bound() {
+    fn nearest_filtered_within_respects_the_bound() {
         let pts = sample_points();
         let t = KdIndex::build(&pts);
-        let labels = vec![7, 1, 1, 2, 2, 7];
-        let exact = t.nearest_foreign(&pts, &pts[0], &labels, 7).unwrap();
+        let labels = [7, 1, 1, 2, 2, 7];
+        let foreign = |i: usize| labels[i] == 7;
+        let exact = t.nearest_filtered(&pts, &pts[0], foreign).unwrap();
         // A bound at exactly the true distance still reports the point…
         let bounded = t
-            .nearest_foreign_within(&pts, &pts[0], &labels, 7, exact.1)
+            .nearest_filtered_within(&pts, &pts[0], foreign, exact.1)
             .unwrap();
-        assert_eq!(bounded.0, exact.0);
+        assert_eq!(bounded, exact);
         // …while a tighter bound hides everything.
         assert!(t
-            .nearest_foreign_within(&pts, &pts[0], &labels, 7, exact.1 * 0.99)
+            .nearest_filtered_within(&pts, &pts[0], foreign, exact.1 * 0.99)
             .is_none());
+    }
+
+    /// Two squared lengths, 1 and 1 + 2⁻⁵², round to the same length 1.0:
+    /// the smaller index wins, as in the MST engines' edge order, although
+    /// its square is larger.
+    #[test]
+    fn nearest_orders_by_rounded_length_then_index() {
+        let pts = [Point::new(1.0, 2f64.powi(-26)), Point::new(1.0, 0.0)];
+        let t = KdIndex::build(&pts);
+        assert_eq!(t.nearest(&pts, &Point::ORIGIN), Some((0, 1.0)));
+        assert_eq!(
+            t.nearest_filtered_within(&pts, &Point::ORIGIN, |_| false, 1.0),
+            Some((0, 1.0))
+        );
     }
 
     #[test]
@@ -681,46 +520,6 @@ mod tests {
         assert_eq!(owned.point(3), pts[3]);
     }
 
-    #[test]
-    fn parallel_build_produces_the_identical_logical_tree() {
-        // Enough points to clear PARALLEL_BUILD_MIN, with duplicate
-        // coordinates sprinkled in so median ties are exercised.
-        let n = PARALLEL_BUILD_MIN + 137;
-        let pts: Vec<Point> = (0..n)
-            .map(|i| {
-                let x = ((i * 7919) % 1000) as f64 * 0.25;
-                let y = ((i * 104729) % 997) as f64 * 0.5;
-                Point::new(x, y)
-            })
-            .collect();
-        let serial = KdIndex::build_with_threads(&pts, 1);
-        for threads in [2usize, 3, 8] {
-            let parallel = KdIndex::build_with_threads(&pts, threads);
-            assert_eq!(parallel.len(), serial.len());
-            // The logical trees are identical: compare a full preorder walk
-            // (point ids + child presence) rather than raw node arrays,
-            // whose layout legitimately differs between schedules.
-            fn preorder(index: &KdIndex, node: u32, out: &mut Vec<(u32, bool, bool)>) {
-                if node == NONE {
-                    return;
-                }
-                let n = index.nodes[node as usize];
-                out.push((n.point, n.left != NONE, n.right != NONE));
-                preorder(index, n.left, out);
-                preorder(index, n.right, out);
-            }
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            preorder(&serial, serial.root, &mut a);
-            preorder(&parallel, parallel.root, &mut b);
-            assert_eq!(a, b, "threads={threads}");
-            // And queries agree bit-for-bit.
-            for q in pts.iter().step_by(991) {
-                assert_eq!(serial.nearest(&pts, q), parallel.nearest(&pts, q));
-            }
-        }
-    }
-
     proptest! {
         #[test]
         fn prop_nearest_matches_linear_scan(
@@ -737,7 +536,7 @@ mod tests {
         }
 
         #[test]
-        fn prop_nearest_foreign_matches_linear_scan(
+        fn prop_label_filtered_nearest_matches_linear_scan(
             xs in proptest::collection::vec((-50.0..50.0f64, -50.0..50.0f64, 0usize..4), 1..50),
             qx in -50.0..50.0f64, qy in -50.0..50.0f64,
             label in 0usize..4,
@@ -746,7 +545,7 @@ mod tests {
             let labels: Vec<usize> = xs.iter().map(|&(_, _, l)| l).collect();
             let q = Point::new(qx, qy);
             let t = KdIndex::build(&pts);
-            let got = t.nearest_foreign(&pts, &q, &labels, label);
+            let got = t.nearest_filtered(&pts, &q, |i| labels[i] == label);
             let expected = (0..pts.len())
                 .filter(|&i| labels[i] != label)
                 .map(|i| (i, q.distance(&pts[i])))
@@ -755,7 +554,7 @@ mod tests {
                 (None, None) => {}
                 (Some((gi, gd)), Some((ei, ed))) => {
                     prop_assert_eq!(gi, ei);
-                    prop_assert!((gd - ed).abs() < 1e-12);
+                    prop_assert_eq!(gd.to_bits(), ed.to_bits());
                 }
                 other => prop_assert!(false, "mismatch: {:?}", other),
             }

@@ -19,11 +19,12 @@
 //!   (Fact 1: the triangle spanned by two adjacent MST edges is empty) and
 //!   by workload generation.
 //! * [`predicates`] — the orientation predicate with an explicit tolerance
-//!   model.
-//! * [`kdtree`] — the static spatial index under the Euclidean MST builder
-//!   and the verifier; [`tiles`] partitions the plane into a uniform grid
-//!   and keeps one dynamic kd-tree per tile ([`TiledKdForest`]) for
-//!   deployments under churn.
+//!   model, and the exact `orient2d` / `incircle` predicates.
+//! * [`delaunay`] — the exact Delaunay triangulation under the Euclidean MST
+//!   builder.
+//! * [`kdtree`] — the static spatial index under the verifier; [`tiles`]
+//!   partitions the plane into a uniform grid and keeps one dynamic kd-tree
+//!   per tile ([`TiledKdForest`]) for deployments under churn.
 //! * [`angular`] — sorting points counterclockwise around a pivot and
 //!   analysing the angular gaps between consecutive neighbours, the key
 //!   sub-routine of Lemma 1 and of the chain constructions of Theorems 5/6.
@@ -31,7 +32,7 @@
 //! All coordinates are `f64`.  Every predicate that the orientation
 //! algorithms rely on accepts an explicit epsilon so that constructions that
 //! aim an antenna *exactly* at a neighbour remain robust to floating point
-//! rounding.
+//! rounding; the triangulation alone uses exact predicates and no epsilon.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -39,6 +40,7 @@
 pub mod angle;
 pub mod angular;
 pub mod bbox;
+pub mod delaunay;
 pub mod dynamic;
 pub mod kdtree;
 pub mod point;
@@ -50,6 +52,7 @@ pub mod vector;
 
 pub use angle::Angle;
 pub use bbox::Aabb;
+pub use delaunay::Delaunay;
 pub use kdtree::{KdIndex, KdTree};
 pub use point::Point;
 pub use sector::Sector;

@@ -8,10 +8,10 @@
 //!
 //! * **Build.**  [`DynamicEmst::from_entries`] takes the live `(slot,
 //!   point)` pairs in ascending slot order and runs the static build
-//!   ([`EuclideanMst::build_with_engine_threads`] with [`MstEngine::Auto`])
-//!   over the live points, then relabels dense index `i` to the `i`-th slot.
-//!   The relabeling is monotone, so it keeps the engines' shared `(weight,
-//!   min, max)` edge order and hence the same unique MST.  Fresh, empty and
+//!   ([`EuclideanMst::build`]) over the live points, then relabels dense
+//!   index `i` to the `i`-th slot.  The relabeling is monotone, so it keeps
+//!   the engines' shared `(weight, min, max)` edge order and hence the same
+//!   unique MST.  Fresh, empty and
 //!   recovered deployments all start here, so rebuilding a tenant from a
 //!   durable image costs one O(n log n) build.  The tile grid only
 //!   partitions the spatial index the edits query.
@@ -47,7 +47,7 @@
 //! the degree down to 5, and which exchange runs can depend on the edit
 //! history; weight and `lmax` still match the rebuild.
 
-use crate::euclidean::{EmstError, EuclideanMst, MstEngine, MAX_MST_DEGREE};
+use crate::euclidean::{EmstError, EuclideanMst, MAX_MST_DEGREE};
 use crate::graph::Graph;
 use antennae_geometry::angular::{circular_gaps, sort_ccw};
 use antennae_geometry::{Point, TileGrid, TiledKdForest};
@@ -134,10 +134,10 @@ impl DynamicEmst {
     /// the shape a long-running service needs when a deployment is
     /// registered before its first sensor arrives.
     ///
-    /// The first tree is [`EuclideanMst::build_with_engine_threads`] over
-    /// the live points in entry order (bit-identical at every `threads`),
-    /// with dense index `i` relabeled to `entries[i].0`.  The relabeling is
-    /// monotone, so the `(weight, min, max)` order — and with it the unique
+    /// The first tree is [`EuclideanMst::build`] over the live points in
+    /// entry order (one serial O(n log n) build above the engine
+    /// crossover), with dense index `i` relabeled to `entries[i].0`.  The
+    /// relabeling is monotone, so the `(weight, min, max)` order — and with it the unique
     /// MST — is the same in slot space: a deployment rebuilt from its live
     /// set holds the tree its edit history left behind (see the module docs
     /// for the degree-exchange caveat).
@@ -149,7 +149,6 @@ impl DynamicEmst {
         entries: &[(usize, Point)],
         next_slot: usize,
         grid: TileGrid,
-        threads: usize,
     ) -> Result<Self, EmstError> {
         assert!(
             entries.windows(2).all(|w| w[0].0 < w[1].0)
@@ -180,7 +179,7 @@ impl DynamicEmst {
             return Ok(emst);
         }
         let live: Vec<Point> = entries.iter().map(|&(_, p)| p).collect();
-        let initial = EuclideanMst::build_with_engine_threads(&live, MstEngine::Auto, threads)?;
+        let initial = EuclideanMst::build(&live)?;
         for (dense, &(slot, _)) in entries.iter().enumerate() {
             // Dense adjacency is ascending, and so stays after relabeling.
             emst.adj[slot] = initial
@@ -744,7 +743,7 @@ mod tests {
     /// A one-tile engine over a dense deployment (slot `i` = point `i`).
     fn one_tile(points: &[Point]) -> DynamicEmst {
         let entries: Vec<(usize, Point)> = points.iter().copied().enumerate().collect();
-        DynamicEmst::from_entries(&entries, points.len(), TileGrid::single(), 1).unwrap()
+        DynamicEmst::from_entries(&entries, points.len(), TileGrid::single()).unwrap()
     }
 
     /// The maintained tree must match a from-scratch build: spanning, same
@@ -904,7 +903,7 @@ mod tests {
         let entries: Vec<(usize, Point)> = pts.iter().copied().enumerate().collect();
         let grid = TileGrid::with_tiles_per_axis(&pts, 3).unwrap();
         let mut single = one_tile(&pts);
-        let mut tiled = DynamicEmst::from_entries(&entries, pts.len(), grid, 2).unwrap();
+        let mut tiled = DynamicEmst::from_entries(&entries, pts.len(), grid).unwrap();
 
         let assert_same = |a: &DynamicEmst, b: &DynamicEmst| {
             assert_eq!(edge_bits(a), edge_bits(b));
@@ -947,7 +946,7 @@ mod tests {
     fn tiled_engine_grows_from_empty_and_clamps_outliers() {
         let seed = random_points(4, 30);
         let grid = TileGrid::with_tiles_per_axis(&seed, 2).unwrap();
-        let mut tiled = DynamicEmst::from_entries(&[], 0, grid, 1).unwrap();
+        let mut tiled = DynamicEmst::from_entries(&[], 0, grid).unwrap();
         assert_eq!(tiled.occupied_tiles(), 0);
         let mut single = one_tile(&[]);
         for p in &seed {
@@ -981,7 +980,7 @@ mod tests {
             .map(|s| (s, lived.point(s)))
             .collect();
         let mut rebuilt =
-            DynamicEmst::from_entries(&entries, lived.slot_bound(), TileGrid::single(), 1).unwrap();
+            DynamicEmst::from_entries(&entries, lived.slot_bound(), TileGrid::single()).unwrap();
         assert_eq!(rebuilt.live_slots(), lived.live_slots());
         assert_eq!(edge_bits(&rebuilt), edge_bits(&lived));
         for s in rebuilt.live_slots() {

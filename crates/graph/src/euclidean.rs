@@ -18,61 +18,110 @@
 //! [`MstEngine`]):
 //!
 //! * **Dense Prim** — the classic O(n²)-time, O(n)-memory pass over the
-//!   complete Euclidean graph.  Unbeatable for small inputs (no spatial index
-//!   to build) and kept as the *oracle* the kd-tree engine is property-tested
-//!   against.
-//! * **Kd-tree Borůvka** — Borůvka rounds whose "cheapest outgoing edge per
-//!   component" queries run as nearest-foreign-component searches against a
-//!   [`KdIndex`] built directly over the caller's points (no copy).
-//!   O(n log n)-class on typical inputs: each of the O(log n) rounds performs
-//!   n pruned nearest-neighbour queries, and on multi-core hosts both the
-//!   index construction and the per-round scans fan out over worker threads
-//!   (see [`EuclideanMst::build_with_engine_threads`]) while producing
-//!   bit-identical trees at every thread count.
+//!   complete Euclidean graph.  Unbeatable for small inputs (nothing to
+//!   build first) and kept as the *oracle* the Delaunay engine is
+//!   property-tested against.
+//! * **Delaunay → Kruskal** — merges coincident sensors into one site each,
+//!   triangulates the distinct sites with exact predicates
+//!   ([`Delaunay`]), and runs Kruskal over the triangulation's ≤ 3n edges:
+//!   O(n log n) time, serial.
 //!
-//! Both engines break weight ties by one total order on edges — weight, then
-//! smaller endpoint, then larger endpoint — under which all edge keys are
-//! distinct and the MST is unique.  Each therefore computes a true MST even
-//! on degenerate inputs, and both compute the *same* tree: the cross-engine
-//! tests compare edge sets, weight bits included, on tie-heavy lattices.
+//! Both engines order edges by one total order — the computed length
+//! [`Point::distance`], then the smaller endpoint, then the larger one —
+//! under which all edge keys are distinct and the MST is unique.  Each
+//! therefore computes a true MST even on degenerate inputs, and both compute
+//! the *same* tree: the tests compare edge lists, weight bits included,
+//! against each other and against a brute-force Kruskal over the complete
+//! graph on tie-heavy lattices.  Inputs must be finite
+//! ([`EmstError::NonFinitePoint`]).
 //!
 //! [`EuclideanMst::build`] selects the engine by input size (the
-//! [`KDTREE_CROSSOVER`] threshold); `build_with_engine` pins one explicitly.
+//! [`DELAUNAY_CROSSOVER`] threshold); `build_with_engine` pins one
+//! explicitly.
+//!
+//! # Why Delaunay → Kruskal builds the same tree
+//!
+//! Write `T*` for the unique MST under the shared order and `d̃` for the
+//! computed length.  The engine builds a candidate set `C`, runs Kruskal
+//! over it in the shared order, and gets `T′`; `T′ = T*` as soon as
+//! `T* ⊆ C` (every edge of `C` outside `T*` is the strict maximum of its
+//! cycle in `T*`, which lies in `C`).
+//!
+//! * **Coincident sensors.**  Ids are sorted by `(x, y)` and grouped with
+//!   `==` (so `-0.0 == 0.0`); each group becomes one site, represented by
+//!   its lowest id, and every other member gets its zero-length edge to
+//!   the representative.  The sites, in `(x, y)` order, are what the
+//!   triangulation works on.  All pairs between two sites have the same `d̃`, so the
+//!   representative pair, which has the smallest `(min, max)`, precedes
+//!   every other pair between them; Kruskal on all points therefore takes
+//!   each group's zero-length star on its lowest id, then exactly the
+//!   representative edges Kruskal takes on the sites alone.  That star on
+//!   the lowest id is the tree dense Prim builds too.
+//! * **Distinct sites: Gabriel edges are Delaunay.**  If a site `w` lies in
+//!   the closed diametral disk of `uv`, then `|uw|² + |wv|² ≤ |uv|²`, so
+//!   `uv` is exactly the longest side of triangle `uwv`, and no site lies in
+//!   the closed diametral disk of an MST edge (Shamos & Hoey, FOCS 1975).
+//!   Such an edge is in every Delaunay triangulation, and the exact
+//!   predicates make [`Delaunay`] one.  The sites' Delaunay edges (or, when
+//!   every site is on one line, the path through them in `(x, y)` order,
+//!   which contains every such edge) go into `C`.
+//! * **The rounding guard.**  The order compares `d̃`, not exact lengths.
+//!   `d̃` is within a relative `3·2⁻⁵³` of the exact length, so rounding
+//!   can keep `uv` from being the strict maximum of triangle `uwv` only
+//!   if `|uw|² ≥ (1 − 14·2⁻⁵³)·|uv|²` (or the same for `wv`), which with
+//!   `|uw|² + |wv|² ≤ |uv|²` puts `w` within `√(14·2⁻⁵³)·|uv| ≈ 4·10⁻⁸·|uv|`
+//!   of `v` (or `u`).  By the bottleneck property of `T*`,
+//!   `d̃(uv) ≤ lmax′`, the longest edge of `T′`.  A nearest-neighbour edge
+//!   is Gabriel, hence Delaunay, so such a `v` has a Delaunay edge no
+//!   longer than `|wv| < GUARD·lmax′` (`GUARD` = 10⁻⁷).  The check is
+//!   therefore: if every Delaunay edge is longer than `GUARD·lmax′`,
+//!   `T′ = T*`.  Otherwise every site with a shorter Delaunay edge adds its
+//!   edges to all sites within `lmax′·(1 + 8ε)` ([`KdIndex::within_radius`])
+//!   and Kruskal runs again over the enlarged `C`.
+//!
+//! Like the predicates, the analysis assumes no intermediate product
+//! overflows or underflows.  Cost: sorting by `(x, y)`, the triangulation
+//! and Kruskal's sort are O(n log n).  The guard's check is O(n); its
+//! widening, when it runs, costs `f` range queries of O(log n + b) each
+//! plus sorting their output, where `f` is the number of sites with a short
+//! Delaunay edge and `b` the most sites within `lmax′` of one — O(n²) in
+//! the worst case, which takes near-coincident sites spread across the
+//! whole deployment.
 
 use crate::graph::{Edge, Graph};
 use crate::union_find::UnionFind;
 use antennae_geometry::angular::{circular_gaps, sort_ccw};
-use antennae_geometry::{KdIndex, Point};
-use antennae_parallel::{chunk_ranges, default_threads, parallel_map};
+use antennae_geometry::{Delaunay, KdIndex, Point};
 use serde::{Deserialize, Serialize};
 
 /// Maximum vertex degree the orientation algorithms assume (`Δ(T) ≤ 5`).
 pub const MAX_MST_DEGREE: usize = 5;
 
 /// Input size at which [`MstEngine::Auto`] switches from dense Prim to the
-/// kd-tree Borůvka engine.
+/// Delaunay engine.
 ///
-/// Below this size the O(n²) pass is faster in practice because it builds no
-/// spatial index and touches memory linearly.  The `mst_scaling` criterion
-/// bench in `antennae-bench` tracks the real crossover; on container
-/// hardware dense Prim wins at n = 500 (1.04 ms vs 1.35 ms) and loses from
-/// n = 1000 (3.66 ms vs 3.00 ms), so the threshold sits between those
-/// points.  Misclassifying slightly is cheap near the crossover (tens of
-/// percent on sub-millisecond builds) and expensive far above it
-/// (quadratic vs quasi-linear), which is why it leans low.
-pub const KDTREE_CROSSOVER: usize = 768;
+/// Below this size the O(n²) pass is faster in practice because it builds
+/// nothing first and touches memory linearly.  The `mst_scaling` criterion
+/// bench in `antennae-bench` tracks the real crossover; on a 2-vCPU
+/// container dense Prim wins at n = 64 (12 µs vs 38 µs), the two are within
+/// run-to-run noise at n = 125, and the Delaunay engine wins from n = 250
+/// (162 µs vs 266 µs).
+pub const DELAUNAY_CROSSOVER: usize = 128;
+
+/// Relative length at or below which a Delaunay edge triggers the rounding
+/// guard's widening (see the module docs).
+const GUARD: f64 = 1e-7;
 
 /// Which algorithm produces the spanning edges of a [`EuclideanMst`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MstEngine {
-    /// Pick by input size: dense Prim below [`KDTREE_CROSSOVER`] points,
-    /// kd-tree Borůvka at or above it.
+    /// Pick by input size: dense Prim below [`DELAUNAY_CROSSOVER`] points,
+    /// the Delaunay engine at or above it.
     Auto,
     /// The O(n²) dense Prim pass (also the property-test oracle).
     DensePrim,
-    /// Borůvka rounds over kd-tree nearest-foreign-component queries,
-    /// O(n log n)-class on typical inputs.
-    KdTreeBoruvka,
+    /// Kruskal over the exact Delaunay triangulation's edges, O(n log n).
+    Delaunay,
 }
 
 impl Default for MstEngine {
@@ -88,8 +137,8 @@ impl MstEngine {
     pub fn resolve(self, n: usize) -> MstEngine {
         match self {
             MstEngine::Auto => {
-                if n >= KDTREE_CROSSOVER {
-                    MstEngine::KdTreeBoruvka
+                if n >= DELAUNAY_CROSSOVER {
+                    MstEngine::Delaunay
                 } else {
                     MstEngine::DensePrim
                 }
@@ -104,6 +153,11 @@ impl MstEngine {
 pub enum EmstError {
     /// The input point set was empty.
     EmptyPointSet,
+    /// A coordinate is NaN or infinite.
+    NonFinitePoint {
+        /// Index of the first such point.
+        index: usize,
+    },
     /// The degree-repair pass failed to reduce the maximum degree to 5.
     ///
     /// This cannot happen for point sets in general position; it is reported
@@ -118,6 +172,9 @@ impl std::fmt::Display for EmstError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EmstError::EmptyPointSet => write!(f, "cannot build an MST over an empty point set"),
+            EmstError::NonFinitePoint { index } => {
+                write!(f, "point {index} has a non-finite coordinate")
+            }
             EmstError::DegreeRepairFailed {
                 remaining_max_degree,
             } => write!(
@@ -166,44 +223,41 @@ impl EuclideanMst {
         Self::build_with_engine(points, MstEngine::Auto)
     }
 
-    /// Builds the Euclidean MST of `points` with an explicitly chosen engine,
-    /// using [`antennae_parallel::default_threads`] worker threads for the
-    /// kd-tree engine's build pipeline.
+    /// Builds the Euclidean MST of `points` with an explicitly chosen engine.
     ///
     /// `MstEngine::DensePrim` runs in O(n²) time and O(n) additional memory;
-    /// `MstEngine::KdTreeBoruvka` in O(n log n)-class time.  Both produce a
-    /// genuine MST (identical `total_weight` and `lmax`; the trees themselves
-    /// may differ on tied edge weights).
+    /// `MstEngine::Delaunay` in O(n log n).  Both produce the same tree, edge
+    /// for edge, weight bits included.
     pub fn build_with_engine(points: &[Point], engine: MstEngine) -> Result<Self, EmstError> {
-        Self::build_with_engine_threads(points, engine, default_threads())
+        Self::build_with_engine_threads(points, engine, 1)
     }
 
-    /// [`EuclideanMst::build_with_engine`] with an explicit worker-thread
-    /// count for the kd-tree engine (index construction and the per-round
-    /// Borůvka scans fan out; dense Prim and the degree-repair pass are
-    /// serial at every thread count).
+    /// [`EuclideanMst::build_with_engine`] with a worker-thread count.  Both
+    /// engines and the degree-repair pass are serial, so `threads` does not
+    /// change the work done, and the result is bit-identical for every
+    /// value.
     ///
-    /// The result is **bit-identical** for every `threads` value: the
-    /// parallel kd-tree build produces the same logical tree as the serial
-    /// one, kd queries are layout-independent pure functions of the point
-    /// set, and each Borůvka round's per-component minimum under the
-    /// tie-broken total order does not depend on how the scan is chunked.
-    /// The `parallel_build_oracle` integration suite in `antennae-core`
-    /// pins this equality end-to-end (MST, scheme, digraph, report).
+    /// # Errors
+    ///
+    /// [`EmstError::EmptyPointSet`] for no points,
+    /// [`EmstError::NonFinitePoint`] when a coordinate is NaN or infinite.
     pub fn build_with_engine_threads(
         points: &[Point],
         engine: MstEngine,
-        threads: usize,
+        _threads: usize,
     ) -> Result<Self, EmstError> {
         if points.is_empty() {
             return Err(EmstError::EmptyPointSet);
+        }
+        if let Some(index) = points.iter().position(|p| !p.is_finite()) {
+            return Err(EmstError::NonFinitePoint { index });
         }
         let n = points.len();
         let resolved = engine.resolve(n);
         let spanning = if n > 1 {
             match resolved {
                 MstEngine::DensePrim => dense_prim(points),
-                MstEngine::KdTreeBoruvka => kd_boruvka(points, threads),
+                MstEngine::Delaunay => delaunay_kruskal(points),
                 MstEngine::Auto => unreachable!("resolve() returns a concrete engine"),
             }
         } else {
@@ -396,255 +450,175 @@ impl EuclideanMst {
     }
 }
 
+/// A squared length more than this factor above a vertex's best one has a
+/// computed length strictly above the best's (the square root rounds with
+/// half an ulp, so the factor leaves room to spare), so dense Prim skips its
+/// square root.
+const NEAR_TIE: f64 = 1.0 + 4.0 * f64::EPSILON;
+
 /// Dense Prim over the complete Euclidean graph: O(n²) time, O(n) memory.
 ///
 /// Every step adds the minimum edge across the cut under the shared
-/// `(distance, min endpoint, max endpoint)` order: each outside vertex keeps
-/// its minimum edge to the tree (equal distances prefer the smaller tree
-/// endpoint, which for a fixed outside vertex is the smaller key), and the
-/// pick compares those edges by distance, then by `(min, max)` endpoints —
-/// so the result is the same unique MST the kd-tree engine builds.
+/// `(computed length, min endpoint, max endpoint)` order.  Each outside
+/// vertex keeps its minimum edge to the tree, where equal lengths prefer
+/// the smaller tree endpoint (for a fixed outside vertex that is the smaller
+/// key), and the pick compares those edges by length, then by `(min, max)`
+/// endpoints — so the result is the same unique MST the Delaunay engine
+/// builds.  Squared lengths serve only as a filter: a candidate whose square
+/// is clearly larger cannot round to an equal or smaller length.
 fn dense_prim(points: &[Point]) -> Vec<Edge> {
     let n = points.len();
     let mut in_tree = vec![false; n];
-    // best_dist[v] = squared distance from v to the tree, best_from[v] = the
-    // tree vertex realising it.
-    let mut best_dist = vec![f64::INFINITY; n];
+    // For each outside vertex: the computed length of its best edge to the
+    // tree, that edge's tree endpoint, and the squared length above which a
+    // candidate can neither beat nor tie it.
+    let mut best_w = vec![f64::INFINITY; n];
     let mut best_from = vec![0usize; n];
+    let mut limit = vec![f64::INFINITY; n];
     let mut edges = Vec::with_capacity(n - 1);
 
+    let mut pick = 0;
     in_tree[0] = true;
-    for v in 1..n {
-        best_dist[v] = points[0].distance_squared(&points[v]);
-        best_from[v] = 0;
-    }
     for _ in 1..n {
-        // Pick the unvisited vertex whose tree edge is minimal.
-        let key = |v: usize| (best_from[v].min(v), best_from[v].max(v));
-        let mut pick = usize::MAX;
+        // Relax every outside vertex against the vertex just added, and
+        // pick the one whose tree edge is minimal.
+        let mut next = usize::MAX;
         for v in 0..n {
             if in_tree[v] {
                 continue;
             }
-            if pick == usize::MAX
-                || best_dist[v] < best_dist[pick]
-                || (best_dist[v] == best_dist[pick] && key(v) < key(pick))
+            let sq = points[pick].distance_squared(&points[v]);
+            if sq <= limit[v] {
+                let w = sq.sqrt();
+                if w < best_w[v] || (w == best_w[v] && pick < best_from[v]) {
+                    best_w[v] = w;
+                    best_from[v] = pick;
+                    limit[v] = sq * NEAR_TIE;
+                }
+            }
+            let key = |v: usize| (best_from[v].min(v), best_from[v].max(v));
+            if next == usize::MAX
+                || best_w[v] < best_w[next]
+                || (best_w[v] == best_w[next] && key(v) < key(next))
             {
-                pick = v;
+                next = v;
             }
         }
-        let from = best_from[pick];
-        edges.push(Edge::new(from, pick, points[from].distance(&points[pick])));
-        in_tree[pick] = true;
-        // Relax the remaining vertices.
-        for v in 0..n {
-            if in_tree[v] {
-                continue;
-            }
-            let d = points[pick].distance_squared(&points[v]);
-            if d < best_dist[v] || (d == best_dist[v] && pick < best_from[v]) {
-                best_dist[v] = d;
-                best_from[v] = pick;
-            }
-        }
+        edges.push(Edge::new(best_from[next], next, best_w[next]));
+        in_tree[next] = true;
+        pick = next;
     }
     edges
 }
 
-/// Smallest input for which a Borůvka round's scan is worth fanning out;
-/// below this the thread-scope setup dwarfs the queries themselves.
-const PARALLEL_BORUVKA_MIN: usize = 4096;
+/// A candidate edge under the shared order: `(computed length bits, min,
+/// max)`.  Lengths are non-negative, so their bit patterns sort like the
+/// lengths.
+type Candidate = (u64, u32, u32);
 
-/// Kd-tree Borůvka over the implicit complete Euclidean graph.
-///
-/// Each round relabels every vertex with its component root, asks the kd-tree
-/// for every vertex's nearest *foreign* point ([`KdIndex::nearest_foreign`]),
-/// keeps the minimal candidate edge per component, and merges.  Candidate
-/// edges are compared by the total order `(weight, min endpoint, max
-/// endpoint)`; because the kd-tree breaks distance ties towards the smaller
-/// index, each component's winner is *the* minimum outgoing edge under that
-/// order, which makes the procedure the plain Borůvka algorithm on a graph
-/// with all-distinct (tie-perturbed) weights: no cycles form, and the result
-/// is a true MST even for duplicate points and exact-tie lattices.
-///
-/// The component count at least halves per round, so there are O(log n)
-/// rounds of n pruned nearest-neighbour queries each.  With `threads > 1`
-/// each round's scan is chunked over [`chunk_ranges`] and the per-chunk
-/// winners merged serially; the per-component minimum under the total order
-/// is the same whatever the chunking (see [`scan_run`]), so every thread
-/// count yields the identical edge list, bit for bit.
-fn kd_boruvka(points: &[Point], threads: usize) -> Vec<Edge> {
-    let n = points.len();
-    // The index borrows `points` — the MST build path holds no extra copy of
-    // the point set (the earlier owning `KdTree` doubled point storage,
-    // which at a million sensors is 16 MB of needless resident memory).
-    let tree = KdIndex::build_with_threads(points, threads);
+fn candidate(points: &[Point], a: u32, b: u32) -> Candidate {
+    let (u, v) = (a.min(b), a.max(b));
+    let w = points[u as usize].distance(&points[v as usize]);
+    (w.to_bits(), u, v)
+}
+
+/// Kruskal over `candidates` in the shared order: the spanning forest's
+/// edges (sorting `candidates` in place).
+fn kruskal(n: usize, candidates: &mut [Candidate]) -> Vec<Edge> {
+    candidates.sort_unstable();
     let mut uf = UnionFind::new(n);
-    let mut labels = vec![0usize; n];
-    let mut edges = Vec::with_capacity(n - 1);
-    // Cross-round cache: `cache[v]` is v's exact nearest foreign point from
-    // an earlier round.  Components only ever merge, so the cached point
-    // stays v's exact nearest foreigner for as long as it remains foreign —
-    // only vertices whose candidate got absorbed re-query the tree.
-    let mut cache: Vec<Option<(usize, f64)>> = vec![None; n];
-    // Vertices grouped by component so that a component's best distance so
-    // far can bound its other members' searches.
-    let mut order: Vec<usize> = (0..n).collect();
-    // Round-persistent scratch, allocated once and reset through `touched`
-    // instead of reallocated every round: the minimal outgoing candidate per
-    // component root as (weight, min endpoint, max endpoint), and the roots
-    // written this round.
-    let mut best: Vec<Option<(f64, usize, usize)>> = vec![None; n];
-    let mut touched: Vec<usize> = Vec::new();
-    let mut round: Vec<(f64, usize, usize)> = Vec::new();
+    let mut tree = Vec::with_capacity(n - 1);
+    for &(w, u, v) in candidates.iter() {
+        if uf.union(u as usize, v as usize) {
+            tree.push(Edge::new(u as usize, v as usize, f64::from_bits(w)));
+            if tree.len() + 1 == n {
+                break;
+            }
+        }
+    }
+    tree
+}
 
-    while uf.component_count() > 1 {
-        for (v, label) in labels.iter_mut().enumerate() {
-            *label = uf.find(v);
-        }
-        order.sort_unstable_by_key(|&v| labels[v]);
-        // Still-foreign cached candidates cost no query: fold them into the
-        // per-root minimum first, where they bound every member's search.
-        for v in 0..n {
-            if let Some((u, d)) = cache[v].filter(|&(u, _)| labels[u] != labels[v]) {
-                offer(&mut best, &mut touched, labels[v], (d, v.min(u), v.max(u)));
-            }
-        }
-        // Query every other vertex, grouped into per-run winners.  The
-        // parallel path chunks the sorted order; a component run that
-        // straddles a chunk boundary simply produces one winner per
-        // fragment, reconciled in the merge below.
-        let scans: Vec<RunScan> = if threads > 1 && n >= PARALLEL_BORUVKA_MIN {
-            let ranges = chunk_ranges(n, threads);
-            parallel_map(&ranges, threads, |&(start, end)| {
-                scan_run(points, &tree, &labels, &cache, &best, &order[start..end])
-            })
-        } else {
-            vec![scan_run(points, &tree, &labels, &cache, &best, &order)]
-        };
-        for (winners, cache_updates) in scans {
-            // Chunks cover disjoint vertex sets (each v appears once in
-            // `order`), so these writes never conflict.
-            for (v, found) in cache_updates {
-                cache[v] = Some(found);
-            }
-            for (root, candidate) in winners {
-                offer(&mut best, &mut touched, root, candidate);
-            }
-        }
-        round.clear();
-        for &root in &touched {
-            round.extend(best[root].take()); // take() resets the scratch slot
-        }
-        touched.clear();
-        round.sort_by(|&a, &b| edge_order(a, b));
-        let before = uf.component_count();
-        for &(d, a, b) in &round {
-            // Two components may nominate the same edge; the second union is
-            // a no-op rather than a duplicate edge.
-            if uf.union(a, b) {
-                edges.push(Edge::new(a, b, d));
-            }
-        }
-        debug_assert!(
-            uf.component_count() < before,
-            "every Borůvka round merges at least two components"
+/// An order-preserving integer image of a finite coordinate.  Adding `0.0`
+/// maps `-0.0` onto `0.0`, so two coordinates get equal images exactly
+/// when they compare `==`.
+fn ordered_bits(x: f64) -> u64 {
+    let bits = (x + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The Delaunay engine: coincident sensors merged into sites, Kruskal over
+/// the sites' exact Delaunay edges plus the zero-length member edges, and
+/// the rounding guard (see the module docs for why this is `T*`).
+fn delaunay_kruskal(points: &[Point]) -> Vec<Edge> {
+    let n = points.len();
+    assert!(n < u32::MAX as usize, "at most 2^32 - 1 points");
+    let mut order: Vec<(u64, u64, u32)> = points
+        .iter()
+        .zip(0..n as u32)
+        .map(|(p, i)| (ordered_bits(p.x), ordered_bits(p.y), i))
+        .collect();
+    order.sort_unstable();
+    let mut sites = Vec::new();
+    let mut is_site = vec![false; n];
+    let mut members = Vec::new();
+    for group in order.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let rep = group[0].2;
+        sites.push(rep);
+        is_site[rep as usize] = true;
+        members.extend(
+            group[1..]
+                .iter()
+                .map(|&(_, _, m)| candidate(points, rep, m)),
         );
     }
-    edges
-}
+    drop(order);
 
-/// Per-run winners and newly learned nearest-foreigner facts from one scan
-/// over a slice of the component-sorted vertex order: `(root, candidate)`
-/// pairs (one per contiguous same-root run in the slice) and `(v, nearest
-/// foreigner)` cache updates.
-type RunScan = (
-    Vec<(usize, (f64, usize, usize))>,
-    Vec<(usize, (usize, f64))>,
-);
+    let dt = Delaunay::new(points, &sites);
+    if cfg!(debug_assertions) {
+        if let Err(violation) = dt.validate(points, &sites) {
+            panic!("the triangulation is not Delaunay: {violation}");
+        }
+    }
+    // A triangulation of m sites has at most 3m edges.
+    let mut candidates = members;
+    candidates.reserve(3 * sites.len());
+    candidates.extend(dt.edges().map(|(u, v)| candidate(points, u, v)));
+    drop(dt);
+    let mut tree = kruskal(n, &mut candidates);
+    debug_assert_eq!(tree.len(), n - 1, "Kruskal spans the candidates");
 
-/// Queries one slice of the component-sorted vertex order for candidate
-/// edges.
-///
-/// Every run of same-root vertices starts from `seeds[root]`, the minimum of
-/// the component's still-foreign cached candidates (those vertices need no
-/// query), and the run's best so far bounds each query: a farther point
-/// cannot win the run anyway, and points at exactly the bound are still
-/// found.  Seeding from the cache is what keeps the last rounds cheap.
-/// There a run is a huge component laid out as contiguous blocks of earlier
-/// components; scanned in that order, the blocks far from every foreign
-/// point come first, and each of their members would sweep a ball holding
-/// much of the component before the bound tightens.  A bounded query that
-/// returns `None` merely means "cannot beat the run's best"; a `Some` is the
-/// vertex's true nearest foreigner (the bound only hides strictly farther
-/// points) and is recorded as a cache update.
-///
-/// **Chunking invariance:** splitting a component's run across chunks only
-/// weakens the bounds of the later fragments, which can make more queries
-/// return `Some` — but every `Some` is the exact per-vertex nearest
-/// foreigner, so the per-root minimum of the merged fragment winners under
-/// [`edge_order`] equals the single-scan winner.  Cache contents may
-/// likewise differ across thread counts, but a cache entry is only ever an
-/// exact nearest foreigner and is used only while still foreign, when a
-/// fresh query would return the very same pair.  Hence the merged result —
-/// and therefore the whole MST — is bit-identical for every chunking.
-fn scan_run(
-    points: &[Point],
-    tree: &KdIndex,
-    labels: &[usize],
-    cache: &[Option<(usize, f64)>],
-    seeds: &[Option<(f64, usize, usize)>],
-    order: &[usize],
-) -> RunScan {
-    let mut winners: Vec<(usize, (f64, usize, usize))> = Vec::new();
-    let mut cache_updates: Vec<(usize, (usize, f64))> = Vec::new();
-    for run in order.chunk_by(|&a, &b| labels[a] == labels[b]) {
-        let root = labels[run[0]];
-        let mut best = seeds[root];
-        for &v in run {
-            if cache[v].is_some_and(|(u, _)| labels[u] != root) {
-                continue; // already folded into the seed
-            }
-            let bound = best.map_or(f64::INFINITY, |(d, _, _)| d);
-            if let Some((u, d)) =
-                tree.nearest_foreign_within(points, &points[v], labels, root, bound)
-            {
-                cache_updates.push((v, (u, d)));
-                keep_min(&mut best, (d, v.min(u), v.max(u)));
+    // The rounding guard.
+    let lmax = tree.iter().map(|e| e.weight).fold(0.0, f64::max);
+    let short = GUARD * lmax;
+    let mut flagged: Vec<u32> = candidates
+        .iter()
+        .filter(|&&(w, u, v)| {
+            is_site[u as usize] && is_site[v as usize] && f64::from_bits(w) <= short
+        })
+        .flat_map(|&(_, u, v)| [u, v])
+        .collect();
+    if flagged.is_empty() {
+        return tree;
+    }
+    flagged.sort_unstable();
+    flagged.dedup();
+    let index = KdIndex::build(points);
+    let radius = lmax * (1.0 + 8.0 * f64::EPSILON);
+    for &v in &flagged {
+        for u in index.within_radius(points, &points[v as usize], radius) {
+            if is_site[u] && u as u32 != v {
+                candidates.push(candidate(points, v, u as u32));
             }
         }
-        winners.extend(best.map(|b| (root, b)));
     }
-    (winners, cache_updates)
-}
-
-/// Replaces `best` by `candidate` when the candidate precedes it under
-/// [`edge_order`] (or nothing was kept yet).
-fn keep_min(best: &mut Option<(f64, usize, usize)>, candidate: (f64, usize, usize)) {
-    if best.is_none_or(|b| edge_order(candidate, b) == std::cmp::Ordering::Less) {
-        *best = Some(candidate);
-    }
-}
-
-/// Folds `candidate` into the per-root minimum `best[root]`, recording the
-/// root in `touched` on its first write of the round.
-fn offer(
-    best: &mut [Option<(f64, usize, usize)>],
-    touched: &mut Vec<usize>,
-    root: usize,
-    candidate: (f64, usize, usize),
-) {
-    if best[root].is_none() {
-        touched.push(root);
-    }
-    keep_min(&mut best[root], candidate);
-}
-
-/// The tie-broken total order on candidate edges shared by both engines.
-fn edge_order(a: (f64, usize, usize), b: (f64, usize, usize)) -> std::cmp::Ordering {
-    a.0.total_cmp(&b.0)
-        .then_with(|| a.1.cmp(&b.1))
-        .then_with(|| a.2.cmp(&b.2))
+    tree = kruskal(n, &mut candidates);
+    debug_assert_eq!(tree.len(), n - 1, "Kruskal spans the candidates");
+    tree
 }
 
 /// Local exchange pass that reduces vertices of degree > 5 (which can only
@@ -847,16 +821,61 @@ mod tests {
         assert!(scaled.max_degree() <= MAX_MST_DEGREE);
     }
 
+    /// An edge list as sorted `(min, max, weight bits)` triples.
+    fn bits(edges: &[Edge]) -> Vec<(usize, usize, u64)> {
+        let mut out: Vec<_> = edges
+            .iter()
+            .map(|e| (e.u.min(e.v), e.u.max(e.v), e.weight.to_bits()))
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// Brute-force Kruskal over the complete graph in the shared order.
+    fn brute_force(pts: &[Point]) -> Vec<Edge> {
+        kruskal_mst(&Graph::complete(pts.len(), |u, v| pts[u].distance(&pts[v]))).edges
+    }
+
+    /// Both engines return the brute-force tree edge for edge, weight bits
+    /// included, before the degree repair; after it, the public builds
+    /// still agree bit for bit.
+    fn assert_engines_agree(pts: &[Point]) {
+        if pts.len() > 1 {
+            let oracle = bits(&brute_force(pts));
+            assert_eq!(bits(&dense_prim(pts)), oracle, "dense Prim vs brute force");
+            assert_eq!(
+                bits(&delaunay_kruskal(pts)),
+                oracle,
+                "Delaunay vs brute force"
+            );
+        }
+        let dense = EuclideanMst::build_with_engine(pts, MstEngine::DensePrim).unwrap();
+        let delaunay = EuclideanMst::build_with_engine(pts, MstEngine::Delaunay).unwrap();
+        assert_eq!(bits(&dense.edges()), bits(&delaunay.edges()));
+        assert_eq!(dense.lmax().to_bits(), delaunay.lmax().to_bits());
+        assert_eq!(delaunay.edges().len(), pts.len() - 1);
+        assert!(delaunay.max_degree() <= MAX_MST_DEGREE);
+    }
+
     #[test]
     fn engines_agree_on_collinear_points() {
         let pts: Vec<Point> = (0..40).map(|i| Point::new(i as f64, 0.0)).collect();
         assert_engines_agree(&pts);
+        // A slanted line, shuffled: only the (x, y)-ordered path survives.
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut slanted: Vec<Point> = (0..200)
+            .map(|i| Point::new(i as f64, 3.0 * i as f64))
+            .collect();
+        for i in (1..slanted.len()).rev() {
+            slanted.swap(i, rng.random_range(0..=i));
+        }
+        assert_engines_agree(&slanted);
     }
 
     #[test]
     fn engines_agree_on_duplicate_and_shared_coordinate_points() {
-        // Duplicates and duplicate-coordinate columns/rows: worst case for
-        // kd-tree splitting planes and for distance ties.
+        // Duplicates and duplicate-coordinate columns/rows: coincident
+        // sites and distance ties everywhere.
         let mut pts = Vec::new();
         for i in 0..8 {
             for j in 0..4 {
@@ -880,43 +899,122 @@ mod tests {
         assert_engines_agree(&pts);
     }
 
+    /// The forced Delaunay engine on the inputs that stress its special
+    /// cases: tiny inputs, one line, one location, signed zeros, and
+    /// cocircular sites.
+    #[test]
+    fn delaunay_engine_handles_degenerate_inputs() {
+        let p = Point::new;
+        let one = EuclideanMst::build_with_engine(&[p(1.0, 2.0)], MstEngine::Delaunay).unwrap();
+        assert_eq!((one.edges().len(), one.lmax()), (0, 0.0));
+        assert_engines_agree(&[p(0.0, 0.0), p(3.0, 4.0)]);
+        assert_engines_agree(&[p(2.0, 1.0), p(-4.0, -2.0), p(6.0, 3.0), p(0.0, 0.0)]);
+        assert_engines_agree(&[p(1.5, -2.5); 9]);
+        assert_engines_agree(&[
+            p(0.0, 0.0),
+            p(-0.0, 0.0),
+            p(0.0, -0.0),
+            p(1.0, 0.0),
+            p(-0.0, 1.0),
+        ]);
+        // Distinct squared lengths that round to one length: the shared
+        // order compares the rounded length, then the endpoints.
+        assert_engines_agree(&[p(1.0, 2f64.powi(-26)), p(1.0, 0.0), p(0.0, 0.0)]);
+        // The twelve lattice points on the circle of radius 5, plus its
+        // centre, and a ring of 3-4-5 circles.
+        let mut circle = vec![p(0.0, 0.0)];
+        for (x, y) in [(3.0, 4.0), (4.0, 3.0), (5.0, 0.0)] {
+            for (sx, sy) in [(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)] {
+                circle.push(p(sx * x, sy * y));
+                circle.push(p(sy * y, sx * x));
+            }
+        }
+        circle.sort_unstable_by(|a, b| a.lex_cmp(b));
+        circle.dedup();
+        assert_engines_agree(&circle);
+        let rings: Vec<Point> = (0..10)
+            .flat_map(|k| circle.iter().map(move |c| p(c.x + 10.0 * k as f64, c.y)))
+            .collect();
+        assert_engines_agree(&rings);
+    }
+
+    /// Pairs 10⁻⁹·`lmax` apart trip the rounding guard; the widened
+    /// candidate set must still give the brute-force tree.  The first
+    /// inputs need the widening: `w` and `z` sit inside the diametral disk
+    /// of `uv` on either side, so `uv` is not a Delaunay edge, yet `uv`, `uw`
+    /// and `uz` all round to one length and the order keeps `uv` (ids 0, 1).
+    #[test]
+    fn rounding_guard_keeps_the_tree_around_near_coincident_pairs() {
+        let p = Point::new;
+        let needs_widening = [
+            [
+                p(57.85496210133457, 2.457935115981247),
+                p(58.19289940565772, 1.5167664922230992),
+                p(58.192899418507636, 1.5167664968370083),
+                p(58.1928993928078, 1.5167664876091906),
+            ],
+            [
+                p(1.2681881374883686, 0.2794837642265069),
+                p(1.1914620890492003, 1.2765359762449702),
+                p(1.1914620746593485, 1.2765359751376293),
+                p(1.191462103439052, 1.2765359773523106),
+            ],
+        ];
+        for pts in &needs_widening {
+            let sites: Vec<u32> = (0..4).collect();
+            let dt = Delaunay::new(pts, &sites);
+            assert!(!dt.edges().any(|(a, b)| a.min(b) == 0 && a.max(b) == 1));
+            assert_engines_agree(pts);
+        }
+        for seed in 0..6 {
+            let mut pts = random_points(300, 50 + seed);
+            let lmax = EuclideanMst::build(&pts).unwrap().lmax();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for i in 0..40 {
+                let q = pts[i * 7];
+                let angle: f64 = rng.random_range(0.0..std::f64::consts::TAU);
+                let d = 1e-9 * lmax * rng.random_range(0.5..2.0);
+                pts.push(Point::new(q.x + d * angle.cos(), q.y + d * angle.sin()));
+            }
+            assert_engines_agree(&pts);
+        }
+    }
+
+    #[test]
+    fn non_finite_points_are_rejected_by_every_engine() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for n in [10usize, 2000] {
+                let mut pts = random_points(n, 3);
+                pts[n / 2] = Point::new(bad, 1.0);
+                for engine in [MstEngine::Auto, MstEngine::DensePrim, MstEngine::Delaunay] {
+                    assert_eq!(
+                        EuclideanMst::build_with_engine(&pts, engine).unwrap_err(),
+                        EmstError::NonFinitePoint { index: n / 2 },
+                        "{bad} among {n} points, {engine:?}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn auto_engine_switches_at_the_crossover() {
         let small = random_points(8, 1);
         let mst = EuclideanMst::build(&small).unwrap();
         assert_eq!(mst.engine(), MstEngine::DensePrim);
 
-        let big = random_points(KDTREE_CROSSOVER, 2);
+        let big = random_points(DELAUNAY_CROSSOVER, 2);
         let mst = EuclideanMst::build(&big).unwrap();
-        assert_eq!(mst.engine(), MstEngine::KdTreeBoruvka);
+        assert_eq!(mst.engine(), MstEngine::Delaunay);
         assert_eq!(mst.edges().len(), big.len() - 1);
         assert!(mst.max_degree() <= MAX_MST_DEGREE);
     }
 
     #[test]
-    fn kd_engine_matches_dense_on_larger_random_sets() {
+    fn engines_agree_on_larger_random_sets() {
         for seed in 0..3 {
             let pts = random_points(600, 100 + seed);
             assert_engines_agree(&pts);
-        }
-    }
-
-    #[test]
-    fn kd_engine_is_bit_identical_across_thread_counts() {
-        // Above PARALLEL_BORUVKA_MIN so the chunked scan path actually runs;
-        // the edge lists (not just the weights) must match bit for bit.
-        let pts = random_points(PARALLEL_BORUVKA_MIN + 500, 42);
-        let serial =
-            EuclideanMst::build_with_engine_threads(&pts, MstEngine::KdTreeBoruvka, 1).unwrap();
-        for threads in [2usize, 3, 8] {
-            let parallel =
-                EuclideanMst::build_with_engine_threads(&pts, MstEngine::KdTreeBoruvka, threads)
-                    .unwrap();
-            let key = |e: &Edge| (e.u, e.v, e.weight.to_bits());
-            let serial_edges: Vec<_> = serial.edges().iter().map(key).collect();
-            let parallel_edges: Vec<_> = parallel.edges().iter().map(key).collect();
-            assert_eq!(serial_edges, parallel_edges, "threads={threads}");
-            assert_eq!(serial.lmax().to_bits(), parallel.lmax().to_bits());
         }
     }
 
@@ -933,69 +1031,28 @@ mod tests {
             for i in (1..pts.len()).rev() {
                 pts.swap(i, rng.random_range(0..=i));
             }
-            let dense = EuclideanMst::build_with_engine(&pts, MstEngine::DensePrim).unwrap();
-            let kd = EuclideanMst::build_with_engine(&pts, MstEngine::KdTreeBoruvka).unwrap();
-            let key = |e: &Edge| (e.u, e.v, e.weight.to_bits());
-            let dense_edges: Vec<_> = dense.edges().iter().map(key).collect();
-            let kd_edges: Vec<_> = kd.edges().iter().map(key).collect();
-            assert_eq!(dense_edges, kd_edges, "{side}×{side} lattice");
+            assert_engines_agree(&pts);
         }
-    }
-
-    /// Both engines must produce genuine MSTs: spanning, degree ≤ 5, and —
-    /// since all MSTs of a graph share one multiset of edge weights —
-    /// identical total weight and identical `lmax`.
-    fn assert_engines_agree(pts: &[Point]) {
-        let dense = EuclideanMst::build_with_engine(pts, MstEngine::DensePrim).unwrap();
-        let kd = EuclideanMst::build_with_engine(pts, MstEngine::KdTreeBoruvka).unwrap();
-        assert_eq!(dense.edges().len(), pts.len() - 1);
-        assert_eq!(kd.edges().len(), pts.len() - 1);
-        assert!(
-            (dense.total_weight() - kd.total_weight()).abs() < 1e-6,
-            "total weight: dense {} vs kd {}",
-            dense.total_weight(),
-            kd.total_weight()
-        );
-        assert!(
-            (dense.lmax() - kd.lmax()).abs() < 1e-9,
-            "lmax: dense {} vs kd {}",
-            dense.lmax(),
-            kd.lmax()
-        );
-        assert!(kd.max_degree() <= MAX_MST_DEGREE);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
         #[test]
-        fn prop_kdtree_engine_matches_dense_oracle(
+        fn prop_engines_match_brute_force_kruskal(
             xs in proptest::collection::vec((0.0..50.0f64, 0.0..50.0f64), 1..120)
         ) {
             let pts: Vec<Point> = xs.iter().map(|&(x, y)| Point::new(x, y)).collect();
-            let dense = EuclideanMst::build_with_engine(&pts, MstEngine::DensePrim).unwrap();
-            let kd = EuclideanMst::build_with_engine(&pts, MstEngine::KdTreeBoruvka).unwrap();
-            prop_assert_eq!(kd.edges().len(), pts.len() - 1);
-            prop_assert!((dense.total_weight() - kd.total_weight()).abs() < 1e-6,
-                "weight {} vs {}", dense.total_weight(), kd.total_weight());
-            prop_assert!((dense.lmax() - kd.lmax()).abs() < 1e-9,
-                "lmax {} vs {}", dense.lmax(), kd.lmax());
-            prop_assert!(kd.max_degree() <= MAX_MST_DEGREE);
+            assert_engines_agree(&pts);
         }
 
         #[test]
-        fn prop_kdtree_engine_handles_snapped_degenerate_grids(
+        fn prop_engines_agree_on_snapped_degenerate_grids(
             xs in proptest::collection::vec((0usize..12, 0usize..12), 2..80)
         ) {
             // Integer-snapped points: many exact duplicates, shared x/y
-            // columns, and tied candidate distances in every round.
+            // columns, cocircular quadruples and tied lengths.
             let pts: Vec<Point> = xs.iter().map(|&(x, y)| Point::new(x as f64, y as f64)).collect();
-            let dense = EuclideanMst::build_with_engine(&pts, MstEngine::DensePrim).unwrap();
-            let kd = EuclideanMst::build_with_engine(&pts, MstEngine::KdTreeBoruvka).unwrap();
-            prop_assert!((dense.total_weight() - kd.total_weight()).abs() < 1e-6,
-                "weight {} vs {}", dense.total_weight(), kd.total_weight());
-            prop_assert!((dense.lmax() - kd.lmax()).abs() < 1e-9,
-                "lmax {} vs {}", dense.lmax(), kd.lmax());
-            prop_assert!(kd.max_degree() <= MAX_MST_DEGREE);
+            assert_engines_agree(&pts);
         }
 
         #[test]

@@ -3,7 +3,7 @@
 //! [`kruskal_mst`] is the textbook reference the Euclidean engines are
 //! tested against.  The Euclidean MST the orientation algorithms walk lives
 //! in [`crate::euclidean`], which builds it over the implicit complete
-//! graph with dense Prim or kd-tree Borůvka.
+//! graph with dense Prim or Kruskal over the exact Delaunay triangulation.
 
 pub mod kruskal;
 

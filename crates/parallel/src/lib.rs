@@ -1,16 +1,13 @@
 //! # antennae-parallel
 //!
 //! Order-preserving parallel map, the execution primitive under every
-//! parallel pipeline in the workspace: the batch orientation pipeline and
-//! verification fan-outs in `antennae-core`, the simulation crate's
-//! parameter sweeps — and, since the build pipeline went parallel, the
-//! kd-tree subtree construction in `antennae-geometry` and the chunked
-//! Borůvka rounds in `antennae-graph`.
+//! parallel pipeline in the workspace: the batch orientation pipeline, the
+//! Lemma-1 sweep and the verification fan-outs in `antennae-core`, and the
+//! simulation crate's parameter sweeps.
 //!
 //! This crate sits at the bottom of the dependency graph (it depends on
-//! nothing) precisely so that the geometry and graph substrates can fan work
-//! out without reaching *up* into `antennae-core`; every crate imports it
-//! directly.
+//! nothing), so any crate can fan work out without reaching *up* into
+//! `antennae-core`.
 //!
 //! Work items are pulled off a shared atomic counter by
 //! `std::thread::scope` workers, so no item is processed twice and results
@@ -124,9 +121,8 @@ where
 }
 
 /// Splits `0..len` into at most `threads * 4` contiguous, non-empty ranges —
-/// the chunking the parallel build stages (kd-tree subtree fan-out, Borůvka
-/// component scans, Lemma-1 sector assignment, CSR row assembly) feed to
-/// [`parallel_map`].
+/// the chunking the parallel build stages (Lemma-1 sector assignment, CSR
+/// row assembly) feed to [`parallel_map`].
 ///
 /// Four chunks per worker keeps stragglers from serializing the tail while
 /// amortizing per-chunk overhead, mirroring [`parallel_map`]'s own internal

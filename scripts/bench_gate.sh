@@ -32,6 +32,10 @@ if [[ -z "$LAST" ]]; then
 fi
 PREV="BENCH_${LAST}.json"
 CURRENT="BENCH_$((LAST + 1)).json"
+# Under GitHub Actions, name the file for the upload step.
+if [[ -n "${GITHUB_OUTPUT:-}" ]]; then
+    echo "bench_file=$CURRENT" >> "$GITHUB_OUTPUT"
+fi
 
 if [[ "${1:-}" != "--check-only" ]]; then
     ./scripts/bench_smoke.sh "$CURRENT"

@@ -184,9 +184,10 @@ echo "== docs suite (scripts/check_docs.sh) =="
 
 # Benches are not exercised by the test suite; building them (without
 # running) keeps them from rotting.  `scripts/bench_smoke.sh` runs the
-# headline benches in quick mode and records the numbers in BENCH_10.json;
-# `scripts/bench_gate.sh` compares that run against the previous committed
-# BENCH_*.json and flags >2x regressions (advisory CI job).
+# headline benches in quick mode and records the numbers in the next
+# BENCH_<N+1>.json after the highest committed one; `scripts/bench_gate.sh`
+# compares that run against BENCH_<N>.json and flags >2x regressions
+# (advisory CI job).
 echo "== benches compile (cargo bench --no-run) =="
 cargo bench --no-run
 

@@ -30,7 +30,7 @@ use antennae::core::bounds::theorem2_spread_threshold;
 use antennae::core::dynamic::{DynamicInstance, DynamicSolverSession, Edit};
 use antennae::core::shard::AUTO_SHARD_MIN_POINTS;
 use antennae::core::verify::verify_with_budget;
-use antennae::graph::euclidean::MAX_MST_DEGREE;
+use antennae::graph::euclidean::{MstEngine, MAX_MST_DEGREE};
 use antennae::graph::UnionFind;
 use antennae::prelude::*;
 use antennae::sim::generators::{extremal_workloads, standard_workloads};
@@ -74,21 +74,30 @@ fn edge_bits(mst: &EuclideanMst) -> Vec<(usize, usize, u64)> {
     edges
 }
 
-/// Maximum degree of the unique MST under the shared `(weight, min, max)`
-/// order, by brute-force Kruskal over every pair.
-fn perturbed_mst_max_degree(points: &[Point]) -> usize {
+/// The unique MST under the shared `(weight, min, max)` order, by
+/// brute-force Kruskal over every pair, as `edge_bits` triples.
+fn shared_order_kruskal(points: &[Point]) -> Vec<(usize, usize, u64)> {
     let n = points.len();
     let mut pairs: Vec<(f64, usize, usize)> = (0..n)
         .flat_map(|i| (i + 1..n).map(move |j| (points[i].distance(&points[j]), i, j)))
         .collect();
     pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then((a.1, a.2).cmp(&(b.1, b.2))));
     let mut uf = UnionFind::new(n);
-    let mut degree = vec![0usize; n];
-    for (_, i, j) in pairs {
-        if uf.union(i, j) {
-            degree[i] += 1;
-            degree[j] += 1;
-        }
+    let mut tree: Vec<_> = pairs
+        .into_iter()
+        .filter(|&(_, i, j)| uf.union(i, j))
+        .map(|(w, i, j)| (i, j, w.to_bits()))
+        .collect();
+    tree.sort_unstable();
+    tree
+}
+
+/// Maximum degree of the unique MST under the shared order.
+fn perturbed_mst_max_degree(points: &[Point]) -> usize {
+    let mut degree = vec![0usize; points.len()];
+    for (i, j, _) in shared_order_kruskal(points) {
+        degree[i] += 1;
+        degree[j] += 1;
     }
     degree.into_iter().max().unwrap_or(0)
 }
@@ -248,6 +257,51 @@ fn duplicate_point_scripts_stay_exact() {
         &points,
         AntennaBudget::new(3, theorem2_spread_threshold(3)),
         &steps,
+    );
+}
+
+/// Two distinct squared lengths, |CA|² = 1 + 2⁻⁵² and |CB|² = 1, round to
+/// the same length 1.0, so the shared order decides by endpoints: the tree
+/// is {(0,1), (0,2)}.  The static engines, an insert and a remove must all
+/// build it.
+#[test]
+fn rounded_length_ties_follow_the_shared_order_on_every_path() {
+    let (a, b, c) = (
+        Point::new(1.0, 2f64.powi(-26)),
+        Point::new(1.0, 0.0),
+        Point::new(0.0, 0.0),
+    );
+    let expected = shared_order_kruskal(&[a, b, c]);
+    assert_eq!(
+        expected.iter().map(|&(i, j, _)| (i, j)).collect::<Vec<_>>(),
+        [(0, 1), (0, 2)]
+    );
+
+    for engine in [MstEngine::Auto, MstEngine::DensePrim, MstEngine::Delaunay] {
+        let mst = EuclideanMst::build_with_engine(&[a, b, c], engine).unwrap();
+        assert_eq!(edge_bits(&mst), expected, "static build, {engine:?}");
+    }
+
+    let budget = AntennaBudget::new(2, theorem2_spread_threshold(2));
+    let mut inserted =
+        DynamicSolverSession::new(DynamicInstance::new(&[a, b]).unwrap(), budget).unwrap();
+    inserted.apply(Edit::Insert(c)).unwrap();
+    assert_eq!(
+        edge_bits(inserted.materialized().unwrap().mst()),
+        expected,
+        "insert"
+    );
+
+    // A relay between C and B carries the tree until it leaves.
+    let relay = Point::new(0.5, 0.0);
+    let mut removed =
+        DynamicSolverSession::new(DynamicInstance::new(&[a, b, c, relay]).unwrap(), budget)
+            .unwrap();
+    removed.apply(Edit::Remove(3)).unwrap();
+    assert_eq!(
+        edge_bits(removed.materialized().unwrap().mst()),
+        expected,
+        "remove"
     );
 }
 

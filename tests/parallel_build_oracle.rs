@@ -1,8 +1,9 @@
 //! Oracle tests for the parallel build pipeline.
 //!
-//! The kd-tree construction, the Borůvka MST rounds, the Theorem-2 Lemma-1
-//! sweep and the verification engine's digraph rebuild all fan out over
-//! worker threads on large instances.  Parallelism must be **invisible**:
+//! The Theorem-2 Lemma-1 sweep and the verification engine's digraph
+//! rebuild fan out over worker threads on large instances, and the MST
+//! build takes a thread count although its engines are serial.
+//! Parallelism must be **invisible**:
 //! this suite pins bit-equality — `f64::to_bits`, not tolerances — between
 //! 1 worker, 2 workers and the session default (`default_threads()`), for
 //! every artifact of the pipeline:
@@ -14,7 +15,7 @@
 //!
 //! The deterministic sweeps cover the stochastic and extremal workload
 //! families (duplicates, collinear paths, exact lattices — worst cases for
-//! kd-tree splitting planes and for distance ties) at sizes *above* the
+//! the triangulation and for distance ties) at sizes *above* the
 //! parallel activation thresholds, so the chunked code paths genuinely run
 //! and must reconcile; the property tests fuzz degenerate small geometry
 //! through the full pipeline at several thread counts.  `scripts/verify.sh`
@@ -90,8 +91,7 @@ fn report_bits(r: &VerificationReport) -> (bool, usize, usize, u64, u64, u64, us
 /// verification report — at every thread count and asserts each artifact is
 /// bit-identical to the single-threaded run.
 fn assert_pipeline_thread_invariant(points: &[Point], k: usize, context: &str) {
-    let serial_mst =
-        EuclideanMst::build_with_engine_threads(points, MstEngine::KdTreeBoruvka, 1).unwrap();
+    let serial_mst = EuclideanMst::build_with_engine_threads(points, MstEngine::Auto, 1).unwrap();
     let instance = Instance::new(points.to_vec()).unwrap();
     let serial_scheme = orient_theorem2_with_threads(&instance, k, 1).unwrap();
     let serial_engine = VerificationEngine::new()
@@ -102,8 +102,7 @@ fn assert_pipeline_thread_invariant(points: &[Point], k: usize, context: &str) {
 
     for threads in thread_counts() {
         let mst =
-            EuclideanMst::build_with_engine_threads(points, MstEngine::KdTreeBoruvka, threads)
-                .unwrap();
+            EuclideanMst::build_with_engine_threads(points, MstEngine::Auto, threads).unwrap();
         assert_eq!(
             mst_bits(&serial_mst),
             mst_bits(&mst),
@@ -148,8 +147,8 @@ fn uniform_points(n: usize, seed: u64) -> Vec<Point> {
 #[test]
 fn pipeline_is_thread_invariant_on_large_uniform_instances() {
     // 9000 points clears every parallel activation threshold in the
-    // pipeline (kd build at 8192, Borůvka and Lemma-1 chunking at 4096,
-    // verify fan-out at 1024), so the chunked code paths all genuinely run.
+    // pipeline (Lemma-1 chunking at 4096, verify fan-out at 1024), so the
+    // chunked code paths all genuinely run.
     let points = uniform_points(9000, 7);
     assert_pipeline_thread_invariant(&points, 3, "uniform n=9000");
 }
@@ -157,7 +156,7 @@ fn pipeline_is_thread_invariant_on_large_uniform_instances() {
 #[test]
 fn pipeline_is_thread_invariant_on_duplicate_heavy_instances() {
     // Every location shared by 3 sensors: duplicate points give zero-length
-    // candidate edges and constant distance ties in every Borůvka round.
+    // edges, coincident sites and constant distance ties.
     let base = uniform_points(1700, 11);
     let mut points = Vec::with_capacity(base.len() * 3);
     for p in &base {
@@ -168,8 +167,8 @@ fn pipeline_is_thread_invariant_on_duplicate_heavy_instances() {
 
 #[test]
 fn pipeline_is_thread_invariant_on_collinear_instances() {
-    // A single line of 5000 sensors: degenerate kd splits (every y equal)
-    // and a maximal-depth Borůvka merge cascade.
+    // A single line of 5000 sensors: no triangle exists, and every sweep
+    // and range query sees one row.
     let points: Vec<Point> = (0..5000).map(|i| Point::new(i as f64, 0.0)).collect();
     assert_pipeline_thread_invariant(&points, 1, "collinear n=5000");
 }
@@ -206,11 +205,10 @@ fn pipeline_is_thread_invariant_on_standard_and_extremal_workloads() {
 fn solver_output_is_identical_under_env_default_threads() {
     // The public entry points (Instance::new -> Solver) pick up
     // default_threads() internally; their output must equal the explicitly
-    // serial pipeline.  n above the Borůvka threshold so the default path
+    // serial pipeline.  n above the Lemma-1 threshold so the default path
     // actually fans out whenever the session default exceeds one worker.
     let points = uniform_points(4608, 3);
-    let serial_mst =
-        EuclideanMst::build_with_engine_threads(&points, MstEngine::KdTreeBoruvka, 1).unwrap();
+    let serial_mst = EuclideanMst::build_with_engine_threads(&points, MstEngine::Auto, 1).unwrap();
     let instance = Instance::new(points).unwrap();
     assert_eq!(
         mst_bits(&serial_mst),
@@ -244,7 +242,7 @@ proptest! {
     ) {
         let points: Vec<Point> = raw_points.iter().map(|&(x, y)| snapped(x, y)).collect();
         let serial_mst =
-            EuclideanMst::build_with_engine_threads(&points, MstEngine::KdTreeBoruvka, 1).unwrap();
+            EuclideanMst::build_with_engine_threads(&points, MstEngine::Delaunay, 1).unwrap();
         let instance = Instance::new(points.clone()).unwrap();
         let serial_scheme = orient_theorem2_with_threads(&instance, k, 1).unwrap();
         let serial_report = VerificationEngine::new()
@@ -252,12 +250,9 @@ proptest! {
             .with_threads(1)
             .verify(&instance, &serial_scheme);
         for threads in [2usize, 4] {
-            let mst = EuclideanMst::build_with_engine_threads(
-                &points,
-                MstEngine::KdTreeBoruvka,
-                threads,
-            )
-            .unwrap();
+            let mst =
+                EuclideanMst::build_with_engine_threads(&points, MstEngine::Delaunay, threads)
+                    .unwrap();
             prop_assert_eq!(mst_bits(&serial_mst), mst_bits(&mst));
             let scheme = orient_theorem2_with_threads(&instance, k, threads).unwrap();
             prop_assert_eq!(scheme_bits(&serial_scheme), scheme_bits(&scheme));
@@ -266,30 +261,6 @@ proptest! {
                 .with_threads(threads)
                 .verify(&instance, &scheme);
             prop_assert_eq!(report_bits(&serial_report), report_bits(&report));
-        }
-    }
-
-    #[test]
-    fn prop_kd_index_build_is_thread_invariant(
-        raw_points in proptest::collection::vec((-30.0..30.0f64, -30.0..30.0f64), 1..150),
-        queries in proptest::collection::vec((-30.0..30.0f64, -30.0..30.0f64), 1..8),
-    ) {
-        // Small inputs take the serial path inside build_with_threads; the
-        // invariant asserted here is the query-level one the pipeline's
-        // exactness argument rests on: answers depend only on the point
-        // set.  (The large-input structural equality is pinned by the
-        // kd-tree's own unit suite.)
-        let points: Vec<Point> = raw_points.iter().map(|&(x, y)| snapped(x, y)).collect();
-        let serial = antennae::geometry::KdIndex::build_with_threads(&points, 1);
-        let parallel = antennae::geometry::KdIndex::build_with_threads(&points, 4);
-        for &(qx, qy) in &queries {
-            let q = Point::new(qx, qy);
-            let a = serial.nearest(&points, &q);
-            let b = parallel.nearest(&points, &q);
-            prop_assert_eq!(
-                a.map(|(i, d)| (i, d.to_bits())),
-                b.map(|(i, d)| (i, d.to_bits()))
-            );
         }
     }
 }
