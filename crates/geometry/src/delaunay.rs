@@ -40,14 +40,79 @@
 //! this exactly.
 //!
 //! If every site lies on one line there is no triangle; the triangulation
-//! then degenerates to the path through the sites in `(x, y)` order, which
+//! then degenerates to the path through the sites in `(x, y)` order (with
+//! `-0.0` and `0.0` equal, as [`Point::lex_cmp`] orders them), which
 //! [`Delaunay::edges`] reports instead.
+//!
+//! # Input range
+//!
+//! Like Shewchuk's, the predicates are exact only while no operation
+//! overflows or underflows.  The construction therefore works on a copy of
+//! the sites scaled by the power of two that brings the largest coordinate
+//! magnitude into `[1, 2)`; scaling by a power of two is exact and keeps
+//! every predicate's sign.  After it every coordinate difference is below 4
+//! in magnitude, so no term of `incircle` (a degree-4 polynomial in the
+//! differences) overflows.  If moreover every nonzero scaled coordinate is
+//! at least `2⁻²⁰⁰`, its ulp is at least `2⁻²⁵²`, so every coordinate is a
+//! multiple of `2⁻²⁵²`, every value either predicate computes a multiple
+//! of `2⁻¹⁰⁰⁸`, and none leaves the normal range: both predicates are
+//! exact.  Sites whose nonzero coordinates span more than that (one below
+//! `2⁻²⁰⁰` times the largest, about 10⁻⁶⁰) make [`Delaunay::new`] return
+//! `None` rather than a triangulation it cannot vouch for.  A NaN from a
+//! predicate is impossible in this range; a flip would still need a
+//! strictly positive `incircle`, and [`Delaunay::validate`] treats NaN as
+//! a violation.
 
 use crate::point::Point;
 use crate::predicates::{incircle, orient2d};
 
 /// "No half-edge": the twin of a hull half-edge, and an empty hash slot.
 const EMPTY: u32 = u32::MAX;
+
+/// The smallest nonzero scaled coordinate magnitude the predicates are
+/// exact for, `2⁻²⁰⁰` (see the module docs).
+const MIN_SCALED_EXPONENT: i32 = -200;
+
+/// `2^k` for `-1022 ≤ k ≤ 1023`, exactly.
+fn pow2(k: i32) -> f64 {
+    debug_assert!((-1022..=1023).contains(&k));
+    f64::from_bits(((k + 1023) as u64) << 52)
+}
+
+/// The coordinates of `sites`, scaled by the power of two that brings the
+/// largest magnitude into `[1, 2)` and with `-0.0` folded onto `0.0`, or
+/// `None` when a coordinate is not finite or a nonzero one falls below
+/// `2⁻²⁰⁰` after scaling (see the module docs).
+fn scaled_copy(points: &[Point], sites: &[u32]) -> Option<Vec<Point>> {
+    // Starting the maximum at the smallest normal double keeps its
+    // exponent in the normal range; all-subnormal inputs then scale by
+    // 2^1022, which still makes them exact multiples of 2^-52.
+    let largest = sites
+        .iter()
+        .map(|&v| {
+            let p = &points[v as usize];
+            p.x.abs().max(p.y.abs())
+        })
+        .fold(f64::MIN_POSITIVE, f64::max);
+    if !largest.is_finite() {
+        return None;
+    }
+    let k = 1023 - (largest.to_bits() >> 52) as i32;
+    // Two steps, because 2^k itself may be out of range for k = -1023.
+    let (lo, hi) = (pow2(k / 2), pow2(k - k / 2));
+    let min_scaled = pow2(MIN_SCALED_EXPONENT);
+    let scale = |c: f64| {
+        let s = c * lo * hi + 0.0;
+        (s.is_finite() && (c == 0.0 || s.abs() >= min_scaled)).then_some(s)
+    };
+    sites
+        .iter()
+        .map(|&v| {
+            let p = &points[v as usize];
+            Some(Point::new(scale(p.x)?, scale(p.y)?))
+        })
+        .collect()
+}
 
 fn next(e: u32) -> u32 {
     if e % 3 == 2 {
@@ -85,23 +150,27 @@ impl Delaunay {
     /// coincident sites the result is unspecified and
     /// [`Delaunay::validate`] rejects it).
     ///
+    /// Returns `None` when a coordinate is not finite, or when the sites'
+    /// nonzero coordinate magnitudes span too widely for the exact
+    /// predicates (see the module docs' input range).
+    ///
     /// # Panics
     ///
     /// When a site id is out of range, or `points` holds `u32::MAX` or more
     /// points.
     ///
-    /// The sites' coordinates are copied, in the order of `sites`, into one
-    /// contiguous array the construction works on, so a spatially coherent
-    /// order (the Euclidean MST builder passes `(x, y)` order) keeps
-    /// neighbouring sites close in memory.
-    pub fn new(points: &[Point], sites: &[u32]) -> Self {
+    /// The sites' scaled coordinates are copied, in the order of `sites`,
+    /// into one contiguous array the construction works on, so a spatially
+    /// coherent order (the Euclidean MST builder passes `(x, y)` order)
+    /// keeps neighbouring sites close in memory.
+    pub fn new(points: &[Point], sites: &[u32]) -> Option<Self> {
         assert!(points.len() < EMPTY as usize, "at most 2^32 - 1 points");
-        let local: Vec<Point> = sites.iter().map(|&v| points[v as usize]).collect();
+        let local = scaled_copy(points, sites)?;
         let mut dt = Builder::run(&local);
         for v in dt.triangles.iter_mut().chain(dt.path.iter_mut()) {
             *v = sites[*v as usize];
         }
-        dt
+        Some(dt)
     }
 
     /// Number of triangles (zero when the sites are collinear).
@@ -122,13 +191,29 @@ impl Delaunay {
         triangulated.chain(path)
     }
 
-    /// Checks, with the exact predicates, that this is a Delaunay
-    /// triangulation of `sites`: every triangle is counterclockwise, twins
-    /// are consistent, every site is a vertex, the triangle count matches
-    /// Euler's formula for the hull size, and every interior edge is
-    /// locally Delaunay.  Returns the first violation found.
+    /// Checks, with the exact predicates on the same scaled coordinates
+    /// [`Delaunay::new`] uses, that this is a Delaunay triangulation of
+    /// `sites`: every vertex is a site, every triangle is counterclockwise,
+    /// twins are consistent, every site is a vertex, the triangle count
+    /// matches Euler's formula for the hull size, and every interior edge
+    /// is locally Delaunay.  A NaN predicate counts as a violation.
+    /// Returns the first violation found.
     pub fn validate(&self, points: &[Point], sites: &[u32]) -> Result<(), String> {
-        let pt = |v: u32| &points[v as usize];
+        let local = scaled_copy(points, sites)
+            .ok_or("the sites are outside the exact predicates' range")?;
+        let mut slot = vec![EMPTY; points.len()];
+        for (i, &v) in sites.iter().enumerate() {
+            slot[v as usize] = i as u32;
+        }
+        if let Some(&v) = self
+            .triangles
+            .iter()
+            .chain(&self.path)
+            .find(|&&v| slot.get(v as usize).is_none_or(|&s| s == EMPTY))
+        {
+            return Err(format!("vertex {v} is not a site"));
+        }
+        let pt = |v: u32| &local[slot[v as usize] as usize];
         let mut seen = vec![false; points.len()];
         if !self.path.is_empty() {
             for w in self.path.windows(2) {
@@ -154,7 +239,8 @@ impl Delaunay {
                 self.triangles[3 * t + 1],
                 self.triangles[3 * t + 2],
             );
-            if orient2d(pt(a), pt(b), pt(c)) <= 0.0 {
+            let counterclockwise = orient2d(pt(a), pt(b), pt(c)) > 0.0;
+            if !counterclockwise {
                 return Err(format!("triangle ({a}, {b}, {c}) is not counterclockwise"));
             }
             [a, b, c].iter().for_each(|&v| seen[v as usize] = true);
@@ -174,7 +260,8 @@ impl Delaunay {
             }
             let l = self.triangles[prev(e) as usize];
             let r = self.triangles[prev(twin) as usize];
-            if incircle(pt(p), pt(q), pt(l), pt(r)) > 0.0 {
+            let legal = incircle(pt(p), pt(q), pt(l), pt(r)) <= 0.0;
+            if !legal {
                 return Err(format!("edge ({p}, {q}) is not locally Delaunay"));
             }
         }
@@ -553,7 +640,10 @@ impl<'a> Builder<'a> {
             let q = self.triangles[next(a) as usize];
             let l = self.triangles[ap as usize];
             let r = self.triangles[bp as usize];
-            if incircle(self.point(p), self.point(q), self.point(l), self.point(r)) <= 0.0 {
+            // Flip only on a strictly positive answer, so cocircular ties
+            // (and, impossible in range, NaN) leave the edge alone.
+            let inside = incircle(self.point(p), self.point(q), self.point(l), self.point(r)) > 0.0;
+            if !inside {
                 continue;
             }
             // Flip p–q to l–r: (r, q, l) on a's slots, (l, p, r) on b's.
@@ -606,9 +696,65 @@ mod tests {
 
     fn check(points: &[Point]) -> Delaunay {
         let sites = all(points);
-        let dt = Delaunay::new(points, &sites);
+        let dt = Delaunay::new(points, &sites).unwrap();
         dt.validate(points, &sites).unwrap();
         dt
+    }
+
+    /// On the line x = 0, `-0.0` and `0.0` are one abscissa: the path
+    /// follows y, whatever the zeros' signs and the input order.
+    #[test]
+    fn signed_zero_abscissae_keep_the_collinear_path_in_y_order() {
+        let p = Point::new;
+        let dt = check(&[p(0.0, 1.0), p(-0.0, 2.0), p(0.0, 3.0)]);
+        assert_eq!(dt.edges().collect::<Vec<_>>(), vec![(0, 1), (1, 2)]);
+        let mixed = [p(-0.0, 4.0), p(0.0, 2.0), p(-0.0, 1.0), p(0.0, 3.0)];
+        let dt = check(&mixed);
+        assert_eq!(dt.edges().collect::<Vec<_>>(), vec![(2, 1), (1, 3), (3, 0)]);
+    }
+
+    /// Coordinates near 10⁸⁰ overflow `incircle` and near 10⁻⁸⁰ underflow
+    /// it; the scaled copy keeps both exact.
+    #[test]
+    fn extreme_coordinate_scales_triangulate_exactly() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let unit: Vec<Point> = (0..400)
+            .map(|_| Point::new(rng.random_range(-1.0..1.0), rng.random_range(-1.0..1.0)))
+            .collect();
+        let lattice: Vec<Point> = (0..100)
+            .map(|i| Point::new((i % 10) as f64, (i / 10) as f64))
+            .collect();
+        for factor in [1e80, 1e-80, 2f64.powi(1000), 2f64.powi(-1000)] {
+            for pts in [&unit, &lattice] {
+                let scaled: Vec<Point> = pts
+                    .iter()
+                    .map(|p| Point::new(p.x * factor, p.y * factor))
+                    .collect();
+                check(&scaled);
+            }
+        }
+        // Subnormal coordinates are in range too.
+        let tiny: Vec<Point> = lattice
+            .iter()
+            .map(|p| Point::new(p.x * f64::from_bits(1), p.y * f64::from_bits(1)))
+            .collect();
+        assert_eq!(check(&tiny).triangle_count(), 2 * 81);
+    }
+
+    /// A nonzero coordinate more than 2²⁰⁰ below the largest one, or a
+    /// non-finite one, is refused instead of triangulated inexactly.
+    #[test]
+    fn coordinates_beyond_the_exact_range_are_refused() {
+        let p = Point::new;
+        let edge = 2f64.powi(-200);
+        let inside = [p(1.0, 0.0), p(0.0, 1.0), p(edge, 0.5), p(1.5, 1.5)];
+        check(&inside);
+        let outside = [p(1.0, 0.0), p(0.0, 1.0), p(edge / 2.0, 0.5), p(1.5, 1.5)];
+        assert!(Delaunay::new(&outside, &all(&outside)).is_none());
+        let nan = [p(1.0, 0.0), p(f64::NAN, 1.0), p(0.5, 0.5)];
+        assert!(Delaunay::new(&nan, &all(&nan)).is_none());
+        let inf = [p(1.0, 0.0), p(f64::INFINITY, 1.0), p(0.5, 0.5)];
+        assert!(Delaunay::new(&inf, &all(&inf)).is_none());
     }
 
     #[test]
@@ -719,7 +865,7 @@ mod tests {
             pts.sort_unstable_by(|a, b| a.lex_cmp(b));
             pts.dedup();
             let sites = all(&pts);
-            let dt = Delaunay::new(&pts, &sites);
+            let dt = Delaunay::new(&pts, &sites).unwrap();
             prop_assert_eq!(dt.validate(&pts, &sites), Ok(()));
         }
     }

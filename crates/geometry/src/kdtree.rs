@@ -4,9 +4,9 @@
 //! The verification engine in `antennae-core` issues one range query per
 //! sensor to rebuild the induced digraph, the dynamic index in
 //! [`crate::dynamic`] answers the incremental MST's nearest queries, the
-//! Euclidean MST builder's rounding guard collects balls through
-//! [`KdIndex::within_radius`], and the simulation crate uses range queries
-//! to compute interference metrics (receivers inside a sector).
+//! Euclidean MST builder's rounding guard collects annuli through
+//! [`KdIndex::within_annulus_into`], and the simulation crate uses range
+//! queries to compute interference metrics (receivers inside a sector).
 //!
 //! Nearest queries order candidates by the computed length
 //! [`Point::distance`], then by index, so every query is deterministic even
@@ -32,6 +32,7 @@
 //! by sorting: each level partitions its slice around the median of the
 //! splitting axis in O(len), for O(n log n) total.  The build is serial.
 
+use crate::bbox::Aabb;
 use crate::point::Point;
 
 /// Sentinel for "no node" in the flat child links.
@@ -66,6 +67,9 @@ struct Node {
 pub struct KdIndex {
     nodes: Vec<Node>,
     root: u32,
+    /// Bounding box of the indexed points: the root's region, which the
+    /// annulus query splits along the way down.
+    bounds: Aabb,
 }
 
 impl KdIndex {
@@ -80,7 +84,12 @@ impl KdIndex {
         let mut idx: Vec<u32> = (0..n as u32).collect();
         let mut nodes: Vec<Node> = Vec::with_capacity(n);
         let root = build_rec(points, &mut idx, 0, &mut nodes);
-        KdIndex { nodes, root }
+        let bounds = Aabb::from_points(points).unwrap_or(Aabb::new(Point::ORIGIN, Point::ORIGIN));
+        KdIndex {
+            nodes,
+            root,
+            bounds,
+        }
     }
 
     /// Number of points indexed.
@@ -247,6 +256,89 @@ impl KdIndex {
             self.radius_rec(points, node.right, axis ^ 1, query, radius, out);
         }
     }
+
+    /// Clears `out` and fills it, in ascending order, with every index whose
+    /// computed distance [`Point::distance`] from `query` lies in
+    /// `[inner, outer]`.
+    ///
+    /// Each subtree's region (the bounding box cut by the splits above it)
+    /// is tracked on the way down, and a subtree whose farthest corner
+    /// rounds to less than `inner` is skipped unvisited: rounding is
+    /// monotone, so no point of it can have a computed distance of `inner`
+    /// or more.  A query whose annulus holds few points is therefore cheap
+    /// even when its inner disk holds most of the index.
+    pub fn within_annulus_into(
+        &self,
+        points: &[Point],
+        query: &Point,
+        inner: f64,
+        outer: f64,
+        out: &mut Vec<usize>,
+    ) {
+        out.clear();
+        if self.root != NONE {
+            let annulus = Annulus {
+                query,
+                inner,
+                outer,
+            };
+            self.annulus_rec(points, self.root, 0, &annulus, self.bounds, out);
+        }
+        out.sort_unstable();
+    }
+
+    fn annulus_rec(
+        &self,
+        points: &[Point],
+        node_idx: u32,
+        axis: u8,
+        a: &Annulus<'_>,
+        region: Aabb,
+        out: &mut Vec<usize>,
+    ) {
+        let q = a.query;
+        let far_x = (q.x - region.min.x).abs().max((q.x - region.max.x).abs());
+        let far_y = (q.y - region.min.y).abs().max((q.y - region.max.y).abs());
+        if (far_x * far_x + far_y * far_y).sqrt() < a.inner {
+            return;
+        }
+        let node = self.nodes[node_idx as usize];
+        let p = &points[node.point as usize];
+        let d = q.distance(p);
+        if a.inner <= d && d <= a.outer {
+            out.push(node.point as usize);
+        }
+        let (diff, split) = if axis == 0 {
+            (q.x - p.x, p.x)
+        } else {
+            (q.y - p.y, p.y)
+        };
+        if diff <= a.outer && node.left != NONE {
+            let mut left = region;
+            if axis == 0 {
+                left.max.x = split;
+            } else {
+                left.max.y = split;
+            }
+            self.annulus_rec(points, node.left, axis ^ 1, a, left, out);
+        }
+        if -diff <= a.outer && node.right != NONE {
+            let mut right = region;
+            if axis == 0 {
+                right.min.x = split;
+            } else {
+                right.min.y = split;
+            }
+            self.annulus_rec(points, node.right, axis ^ 1, a, right, out);
+        }
+    }
+}
+
+/// The parameters of one [`KdIndex::within_annulus_into`] query.
+struct Annulus<'a> {
+    query: &'a Point,
+    inner: f64,
+    outer: f64,
 }
 
 /// The incumbent of a nearest search: `index` (`usize::MAX` while only the
@@ -430,6 +522,25 @@ mod tests {
         assert_eq!(hits, vec![0, 1, 5]);
     }
 
+    /// Points far inside the inner disk are pruned as whole subtrees: a
+    /// grid plus one far point, queried from a grid point, visits only a
+    /// logarithmic number of nodes and returns the far point alone.
+    #[test]
+    fn annulus_query_returns_only_the_ring() {
+        let mut pts: Vec<Point> = (0..400)
+            .map(|i| Point::new((i % 20) as f64, (i / 20) as f64))
+            .collect();
+        pts.push(Point::new(1e8, 0.0));
+        let t = KdIndex::build(&pts);
+        let mut out = vec![7];
+        t.within_annulus_into(&pts, &pts[21], 1e7, 2e8, &mut out);
+        assert_eq!(out, vec![400]);
+        t.within_annulus_into(&pts, &pts[0], 1.0, 1.0, &mut out);
+        assert_eq!(out, vec![1, 20]);
+        KdIndex::build(&[]).within_annulus_into(&[], &Point::ORIGIN, 0.0, 1.0, &mut out);
+        assert!(out.is_empty());
+    }
+
     #[test]
     fn within_radius_into_reuses_the_buffer() {
         let pts = sample_points();
@@ -558,6 +669,30 @@ mod tests {
                 }
                 other => prop_assert!(false, "mismatch: {:?}", other),
             }
+        }
+
+        #[test]
+        fn prop_annulus_query_matches_linear_scan(
+            xs in proptest::collection::vec((-50.0..50.0f64, -50.0..50.0f64), 1..80),
+            qx in -60.0..60.0f64, qy in -60.0..60.0f64,
+            r in 0.0..80.0f64, width in 0.0..80.0f64,
+        ) {
+            // Snapping half the points to a coarse grid adds duplicates and
+            // points exactly on the annulus' edges.
+            let pts: Vec<Point> = xs
+                .iter()
+                .enumerate()
+                .map(|(i, &(x, y))| if i % 2 == 0 { Point::new(x, y) } else { Point::new(x.round(), y.round()) })
+                .collect();
+            let q = Point::new(qx.round(), qy.round());
+            let t = KdIndex::build(&pts);
+            let (inner, outer) = (r.round(), (r + width).round());
+            let mut got = Vec::new();
+            t.within_annulus_into(&pts, &q, inner, outer, &mut got);
+            let expected: Vec<usize> = (0..pts.len())
+                .filter(|&i| (inner..=outer).contains(&q.distance(&pts[i])))
+                .collect();
+            prop_assert_eq!(got, expected);
         }
 
         #[test]

@@ -108,11 +108,13 @@ impl Point {
     }
 
     /// Lexicographic comparison by `(x, y)`, used for deterministic
-    /// tie-breaking in hulls and MSTs.
+    /// tie-breaking in hulls and MSTs.  Consistent with `==` on finite
+    /// coordinates: `-0.0` and `0.0` compare equal (adding `0.0` folds the
+    /// one onto the other before the total order compares them).
     pub fn lex_cmp(&self, other: &Point) -> std::cmp::Ordering {
-        self.x
-            .total_cmp(&other.x)
-            .then_with(|| self.y.total_cmp(&other.y))
+        (self.x + 0.0)
+            .total_cmp(&(other.x + 0.0))
+            .then_with(|| (self.y + 0.0).total_cmp(&(other.y + 0.0)))
     }
 }
 
@@ -230,6 +232,15 @@ mod tests {
         assert_eq!(a.lex_cmp(&b), std::cmp::Ordering::Less);
         assert_eq!(a.lex_cmp(&c), std::cmp::Ordering::Less);
         assert_eq!(a.lex_cmp(&a), std::cmp::Ordering::Equal);
+    }
+
+    #[test]
+    fn lex_cmp_treats_signed_zeros_as_equal() {
+        use std::cmp::Ordering::{Equal, Less};
+        let (pos, neg) = (Point::new(0.0, 1.0), Point::new(-0.0, 1.0));
+        assert_eq!(pos.lex_cmp(&neg), Equal);
+        assert_eq!(Point::new(-0.0, 1.0).lex_cmp(&Point::new(0.0, 2.0)), Less);
+        assert_eq!(Point::new(3.0, -0.0).lex_cmp(&Point::new(3.0, 0.0)), Equal);
     }
 
     proptest! {

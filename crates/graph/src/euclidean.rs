@@ -69,24 +69,34 @@
 //!   `d̃` is within a relative `3·2⁻⁵³` of the exact length, so rounding
 //!   can keep `uv` from being the strict maximum of triangle `uwv` only
 //!   if `|uw|² ≥ (1 − 14·2⁻⁵³)·|uv|²` (or the same for `wv`), which with
-//!   `|uw|² + |wv|² ≤ |uv|²` puts `w` within `√(14·2⁻⁵³)·|uv| ≈ 4·10⁻⁸·|uv|`
-//!   of `v` (or `u`).  By the bottleneck property of `T*`,
-//!   `d̃(uv) ≤ lmax′`, the longest edge of `T′`.  A nearest-neighbour edge
-//!   is Gabriel, hence Delaunay, so such a `v` has a Delaunay edge no
-//!   longer than `|wv| < GUARD·lmax′` (`GUARD` = 10⁻⁷).  The check is
-//!   therefore: if every Delaunay edge is longer than `GUARD·lmax′`,
-//!   `T′ = T*`.  Otherwise every site with a shorter Delaunay edge adds its
-//!   edges to all sites within `lmax′·(1 + 8ε)` ([`KdIndex::within_radius`])
-//!   and Kruskal runs again over the enlarged `C`.
+//!   `|uw|² + |wv|² ≤ |uv|²` puts `w` within `ρ·|uv|` of `v` (or `u`),
+//!   `ρ = √(14·2⁻⁵³) ≈ 4·10⁻⁸`.  A nearest-neighbour edge is Gabriel,
+//!   hence Delaunay, so `v`'s shortest Delaunay edge `s̃(v)` is at most
+//!   about `ρ·|uv|`, and `d̃(uv) > s̃(v)/GUARD` with `GUARD` = 10⁻⁷ (a
+//!   2.5-fold margin over `ρ` covers every rounding).  By the bottleneck
+//!   property of `T*`, `d̃(uv) ≤ lmax′`, the longest edge of `T′`.  So
+//!   `T′ = T*` when no site has `s̃(v) ≤ GUARD·lmax′`, an O(n) check.
+//!   Otherwise each such site `v` offers its edges to every site `u` with
+//!   `s̃(v)/GUARD ≤ d̃(uv) ≤ lmax′` ([`KdIndex::within_annulus_into`]),
+//!   and Kruskal runs again over `T′` plus the offers
+//!   (`MST(C ∪ X) = MST(MST(C) ∪ X)`).
 //!
-//! Like the predicates, the analysis assumes no intermediate product
-//! overflows or underflows.  Cost: sorting by `(x, y)`, the triangulation
-//! and Kruskal's sort are O(n log n).  The guard's check is O(n); its
-//! widening, when it runs, costs `f` range queries of O(log n + b) each
-//! plus sorting their output, where `f` is the number of sites with a short
-//! Delaunay edge and `b` the most sites within `lmax′` of one — O(n²) in
-//! the worst case, which takes near-coincident sites spread across the
-//! whole deployment.
+//! [`Delaunay::new`] refuses sites whose nonzero coordinates span more
+//! than about 10⁶⁰ in magnitude (beyond that its exact predicates would
+//! underflow); the engine then returns dense Prim's tree, which is the same
+//! tree.  Like dense Prim, the analysis assumes the squared distances
+//! neither overflow nor underflow.
+//!
+//! Cost: sorting by `(x, y)`, the triangulation and Kruskal's sort are
+//! O(n log n), in O(n) memory.  The guard's check is O(n).  Its widening,
+//! when it runs, makes one annulus query per flagged site, each O(log n)
+//! plus the sites it returns; the query skips whole kd subtrees inside the
+//! inner radius, so the sites around `v` closer than `s̃(v)/GUARD` cost
+//! nothing.  Memory stays O(n): the offers fold back into a tree whenever
+//! they pass 4n.  Time is O(n log n) unless Θ(n) sites each have a
+//! neighbour 10⁷ times closer than Θ(n) other sites within `lmax′`; that
+//! takes near-coincident sites spread across the whole deployment *and*
+//! an MST edge as long as the deployment is wide, and costs O(n²) time.
 
 use crate::graph::{Edge, Graph};
 use crate::union_find::UnionFind;
@@ -257,7 +267,7 @@ impl EuclideanMst {
         let spanning = if n > 1 {
             match resolved {
                 MstEngine::DensePrim => dense_prim(points),
-                MstEngine::Delaunay => delaunay_kruskal(points),
+                MstEngine::Delaunay => delaunay_kruskal(points).0,
                 MstEngine::Auto => unreachable!("resolve() returns a concrete engine"),
             }
         } else {
@@ -522,15 +532,19 @@ fn candidate(points: &[Point], a: u32, b: u32) -> Candidate {
     (w.to_bits(), u, v)
 }
 
-/// Kruskal over `candidates` in the shared order: the spanning forest's
-/// edges (sorting `candidates` in place).
-fn kruskal(n: usize, candidates: &mut [Candidate]) -> Vec<Edge> {
+fn to_edge(&(w, u, v): &Candidate) -> Edge {
+    Edge::new(u as usize, v as usize, f64::from_bits(w))
+}
+
+/// Kruskal over `candidates` in the shared order (sorting `candidates` in
+/// place): the spanning forest's edges, in that order.
+fn kruskal(n: usize, candidates: &mut [Candidate]) -> Vec<Candidate> {
     candidates.sort_unstable();
     let mut uf = UnionFind::new(n);
     let mut tree = Vec::with_capacity(n - 1);
-    for &(w, u, v) in candidates.iter() {
-        if uf.union(u as usize, v as usize) {
-            tree.push(Edge::new(u as usize, v as usize, f64::from_bits(w)));
+    for &c in candidates.iter() {
+        if uf.union(c.1 as usize, c.2 as usize) {
+            tree.push(c);
             if tree.len() + 1 == n {
                 break;
             }
@@ -553,8 +567,10 @@ fn ordered_bits(x: f64) -> u64 {
 
 /// The Delaunay engine: coincident sensors merged into sites, Kruskal over
 /// the sites' exact Delaunay edges plus the zero-length member edges, and
-/// the rounding guard (see the module docs for why this is `T*`).
-fn delaunay_kruskal(points: &[Point]) -> Vec<Edge> {
+/// the rounding guard (see the module docs for why this is `T*`).  Sites
+/// outside the exact predicates' range go to dense Prim instead.  Also
+/// returns how many edges the guard's widening offered.
+fn delaunay_kruskal(points: &[Point]) -> (Vec<Edge>, usize) {
     let n = points.len();
     assert!(n < u32::MAX as usize, "at most 2^32 - 1 points");
     let mut order: Vec<(u64, u64, u32)> = points
@@ -578,7 +594,9 @@ fn delaunay_kruskal(points: &[Point]) -> Vec<Edge> {
     }
     drop(order);
 
-    let dt = Delaunay::new(points, &sites);
+    let Some(dt) = Delaunay::new(points, &sites) else {
+        return (dense_prim(points), 0);
+    };
     if cfg!(debug_assertions) {
         if let Err(violation) = dt.validate(points, &sites) {
             panic!("the triangulation is not Delaunay: {violation}");
@@ -589,36 +607,66 @@ fn delaunay_kruskal(points: &[Point]) -> Vec<Edge> {
     candidates.reserve(3 * sites.len());
     candidates.extend(dt.edges().map(|(u, v)| candidate(points, u, v)));
     drop(dt);
-    let mut tree = kruskal(n, &mut candidates);
+    let tree = kruskal(n, &mut candidates);
     debug_assert_eq!(tree.len(), n - 1, "Kruskal spans the candidates");
+    let (tree, offered) = rounding_guard(points, &is_site, &candidates, tree);
+    (tree.iter().map(to_edge).collect(), offered)
+}
 
-    // The rounding guard.
-    let lmax = tree.iter().map(|e| e.weight).fold(0.0, f64::max);
-    let short = GUARD * lmax;
-    let mut flagged: Vec<u32> = candidates
-        .iter()
-        .filter(|&&(w, u, v)| {
-            is_site[u as usize] && is_site[v as usize] && f64::from_bits(w) <= short
-        })
-        .flat_map(|&(_, u, v)| [u, v])
-        .collect();
-    if flagged.is_empty() {
-        return tree;
+/// The rounding guard over Kruskal's result `tree` (`T′`) from the
+/// candidate set `candidates` (see the module docs): `T*`, and the number
+/// of annulus edges the widening offered.
+fn rounding_guard(
+    points: &[Point],
+    is_site: &[bool],
+    candidates: &[Candidate],
+    tree: Vec<Candidate>,
+) -> (Vec<Candidate>, usize) {
+    let n = points.len();
+    let lmax = tree.last().map_or(0.0, |c| f64::from_bits(c.0));
+    let delaunay_edges = || {
+        candidates
+            .iter()
+            .filter(|&&(_, u, v)| is_site[u as usize] && is_site[v as usize])
+    };
+    if delaunay_edges().all(|&(w, _, _)| f64::from_bits(w) > GUARD * lmax) {
+        return (tree, 0);
     }
-    flagged.sort_unstable();
-    flagged.dedup();
-    let index = KdIndex::build(points);
-    let radius = lmax * (1.0 + 8.0 * f64::EPSILON);
-    for &v in &flagged {
-        for u in index.within_radius(points, &points[v as usize], radius) {
-            if is_site[u] && u as u32 != v {
-                candidates.push(candidate(points, v, u as u32));
-            }
+    // The shortest Delaunay edge at each site: its nearest-neighbour
+    // distance, as a computed length.
+    let mut nearest = vec![f64::INFINITY; n];
+    for &(w, u, v) in delaunay_edges() {
+        let w = f64::from_bits(w);
+        for end in [u, v] {
+            nearest[end as usize] = nearest[end as usize].min(w);
         }
     }
-    tree = kruskal(n, &mut candidates);
+    let index = KdIndex::build(points);
+    // Kruskal's result summarises the candidates it came from
+    // (MST(C ∪ X) = MST(MST(C) ∪ X)), so the widening starts from `T′` and
+    // folds its offers back into a tree whenever they pass 4n.
+    let mut widened = tree;
+    let mut offered = 0;
+    let mut ring = Vec::new();
+    for v in 0..n {
+        let inner = nearest[v] / GUARD;
+        if inner > lmax {
+            continue;
+        }
+        index.within_annulus_into(points, &points[v], inner, lmax, &mut ring);
+        for &u in &ring {
+            if is_site[u] && u != v {
+                widened.push(candidate(points, v as u32, u as u32));
+                offered += 1;
+            }
+        }
+        if widened.len() > 4 * n {
+            widened = kruskal(n, &mut widened);
+        }
+    }
+    let tree = kruskal(n, &mut widened);
     debug_assert_eq!(tree.len(), n - 1, "Kruskal spans the candidates");
-    tree
+    (tree, offered)
 }
 
 /// Local exchange pass that reduces vertices of degree > 5 (which can only
@@ -844,7 +892,7 @@ mod tests {
             let oracle = bits(&brute_force(pts));
             assert_eq!(bits(&dense_prim(pts)), oracle, "dense Prim vs brute force");
             assert_eq!(
-                bits(&delaunay_kruskal(pts)),
+                bits(&delaunay_kruskal(pts).0),
                 oracle,
                 "Delaunay vs brute force"
             );
@@ -917,6 +965,28 @@ mod tests {
             p(1.0, 0.0),
             p(-0.0, 1.0),
         ]);
+        // Sites on the line x = 0 with both signs of zero: one abscissa,
+        // so the collinear path follows y.  At 150 sites `Auto` takes the
+        // Delaunay engine too.
+        assert_engines_agree(&[p(0.0, 1.0), p(-0.0, 2.0), p(0.0, 3.0)]);
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut zeros: Vec<Point> = (0..150)
+            .map(|i| {
+                p(
+                    if rng.random_range(0..2) == 0 {
+                        0.0
+                    } else {
+                        -0.0
+                    },
+                    i as f64,
+                )
+            })
+            .collect();
+        for i in (1..zeros.len()).rev() {
+            zeros.swap(i, rng.random_range(0..=i));
+        }
+        assert_engines_agree(&zeros);
+        assert_eq!(EuclideanMst::build(&zeros).unwrap().lmax(), 1.0);
         // Distinct squared lengths that round to one length: the shared
         // order compares the rounded length, then the endpoints.
         assert_engines_agree(&[p(1.0, 2f64.powi(-26)), p(1.0, 0.0), p(0.0, 0.0)]);
@@ -962,7 +1032,7 @@ mod tests {
         ];
         for pts in &needs_widening {
             let sites: Vec<u32> = (0..4).collect();
-            let dt = Delaunay::new(pts, &sites);
+            let dt = Delaunay::new(pts, &sites).unwrap();
             assert!(!dt.edges().any(|(a, b)| a.min(b) == 0 && a.max(b) == 1));
             assert_engines_agree(pts);
         }
@@ -978,6 +1048,46 @@ mod tests {
             }
             assert_engines_agree(&pts);
         }
+    }
+
+    /// Spreads near 10⁸⁰ would overflow the incircle test and near 10⁻⁸⁰
+    /// underflow it without the triangulation's power-of-two scaling.
+    #[test]
+    fn delaunay_engine_is_exact_at_extreme_coordinate_scales() {
+        for factor in [1e80, 1e-80] {
+            let pts: Vec<Point> = random_points(300, 31)
+                .iter()
+                .map(|q| Point::new(q.x * factor, q.y * factor))
+                .collect();
+            assert_engines_agree(&pts);
+        }
+    }
+
+    /// A nonzero coordinate 10⁻⁷⁰ beside coordinates near 100 is outside
+    /// the exact predicates' range: the engine falls back to dense Prim.
+    #[test]
+    fn coordinates_beyond_the_predicates_range_fall_back_to_dense_prim() {
+        let mut pts = random_points(200, 37);
+        pts.push(Point::new(1e-70, 50.0));
+        pts.push(Point::new(1e-70, 50.0));
+        let sites: Vec<u32> = (0..pts.len() as u32 - 1).collect();
+        assert!(Delaunay::new(&pts, &sites).is_none());
+        assert_engines_agree(&pts);
+    }
+
+    /// One far sensor makes `lmax′` huge and flags every grid site, but each
+    /// grid site's annulus starts 10⁷ grid spacings out, where only the far
+    /// sensor can be: at most one offer per site, not one per pair (a ball
+    /// of radius `lmax′` would hold the whole grid, 1600² offers).
+    #[test]
+    fn rounding_guard_offers_stay_linear_with_a_far_outlier() {
+        let mut pts: Vec<Point> = (0..1600)
+            .map(|i| Point::new((i % 40) as f64, (i / 40) as f64))
+            .collect();
+        pts.push(Point::new(1e8, 0.0));
+        let (edges, offered) = delaunay_kruskal(&pts);
+        assert!(offered <= 1600, "{offered} offers");
+        assert_eq!(bits(&edges), bits(&dense_prim(&pts)));
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Oracle tests for the parallel build pipeline.
 //!
 //! The Theorem-2 Lemma-1 sweep and the verification engine's digraph
-//! rebuild fan out over worker threads on large instances, and the MST
-//! build takes a thread count although its engines are serial.
+//! rebuild fan out over worker threads on large instances.
 //! Parallelism must be **invisible**:
 //! this suite pins bit-equality — `f64::to_bits`, not tolerances — between
 //! 1 worker, 2 workers and the session default (`default_threads()`), for
 //! every artifact of the pipeline:
 //!
-//! * the MST (exact edge list, `lmax`, total weight),
+//! * the MST (exact edge list, `lmax`, total weight) — its engines are
+//!   serial, so it is compared once, between a one-thread build and the
+//!   tree `Instance::new` builds,
 //! * the orientation scheme (every antenna's start/spread/radius bits),
 //! * the induced digraph (structural equality, same adjacency order),
 //! * the verification report (every measurement and violation).
@@ -93,6 +94,11 @@ fn report_bits(r: &VerificationReport) -> (bool, usize, usize, u64, u64, u64, us
 fn assert_pipeline_thread_invariant(points: &[Point], k: usize, context: &str) {
     let serial_mst = EuclideanMst::build_with_engine_threads(points, MstEngine::Auto, 1).unwrap();
     let instance = Instance::new(points.to_vec()).unwrap();
+    assert_eq!(
+        mst_bits(&serial_mst),
+        mst_bits(instance.mst()),
+        "MST mismatch: {context}"
+    );
     let serial_scheme = orient_theorem2_with_threads(&instance, k, 1).unwrap();
     let serial_engine = VerificationEngine::new()
         .with_strategy(DigraphStrategy::KdTree)
@@ -101,14 +107,6 @@ fn assert_pipeline_thread_invariant(points: &[Point], k: usize, context: &str) {
     let serial_report = serial_engine.verify(&instance, &serial_scheme);
 
     for threads in thread_counts() {
-        let mst =
-            EuclideanMst::build_with_engine_threads(points, MstEngine::Auto, threads).unwrap();
-        assert_eq!(
-            mst_bits(&serial_mst),
-            mst_bits(&mst),
-            "MST mismatch: {context} threads={threads}"
-        );
-
         let scheme = orient_theorem2_with_threads(&instance, k, threads).unwrap();
         assert_eq!(
             scheme_bits(&serial_scheme),
@@ -241,19 +239,18 @@ proptest! {
         k in 1usize..=5,
     ) {
         let points: Vec<Point> = raw_points.iter().map(|&(x, y)| snapped(x, y)).collect();
-        let serial_mst =
+        // Forced Delaunay against `Instance::new`'s tree (dense Prim at
+        // these sizes), once: the MST build is serial.
+        let delaunay =
             EuclideanMst::build_with_engine_threads(&points, MstEngine::Delaunay, 1).unwrap();
         let instance = Instance::new(points.clone()).unwrap();
+        prop_assert_eq!(mst_bits(&delaunay), mst_bits(instance.mst()));
         let serial_scheme = orient_theorem2_with_threads(&instance, k, 1).unwrap();
         let serial_report = VerificationEngine::new()
             .with_strategy(DigraphStrategy::KdTree)
             .with_threads(1)
             .verify(&instance, &serial_scheme);
         for threads in [2usize, 4] {
-            let mst =
-                EuclideanMst::build_with_engine_threads(&points, MstEngine::Delaunay, threads)
-                    .unwrap();
-            prop_assert_eq!(mst_bits(&serial_mst), mst_bits(&mst));
             let scheme = orient_theorem2_with_threads(&instance, k, threads).unwrap();
             prop_assert_eq!(scheme_bits(&serial_scheme), scheme_bits(&scheme));
             let report = VerificationEngine::new()
