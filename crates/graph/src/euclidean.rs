@@ -610,6 +610,7 @@ fn delaunay_kruskal(points: &[Point]) -> (Vec<Edge>, usize) {
     let tree = kruskal(n, &mut candidates);
     debug_assert_eq!(tree.len(), n - 1, "Kruskal spans the candidates");
     let (tree, offered) = rounding_guard(points, &is_site, &candidates, tree);
+    drop(candidates);
     (tree.iter().map(to_edge).collect(), offered)
 }
 
