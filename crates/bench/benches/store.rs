@@ -9,7 +9,7 @@
 //!   tenant).  The acceptance bar is under two seconds per pass.
 //! * `store/recover_tenant/{10000,100000}` — recovery of one large tenant
 //!   from a snapshot plus a short WAL tail: one bulk build of the snapshot
-//!   (O(n log n), sharded per the default `auto` spec) and one coalesced
+//!   (O(n log n)) and one coalesced
 //!   tail repair, so 10× the sensors should cost about 10× the time.
 //! * `store/serve_sweep_1000_tenants/{ephemeral,durable_every_n}` — the
 //!   serve bench's coalesced 1000-tenant burst sweep, ephemeral versus

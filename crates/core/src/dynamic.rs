@@ -5,9 +5,9 @@
 //! module is the dynamic front door:
 //!
 //! * [`DynamicInstance`] wraps the incrementally maintained degree-5
-//!   Euclidean MST ([`antennae_graph::dynamic::DynamicEmst`]: a per-tile
-//!   dynamic kd forest — one tile unless sharded — bounded-star inserts,
-//!   localized Borůvka removal repair) and materializes a regular
+//!   Euclidean MST ([`antennae_graph::dynamic::DynamicEmst`]: one dynamic
+//!   kd-tree, bounded-star inserts, localized Borůvka removal repair) and
+//!   materializes a regular
 //!   [`Instance`] on demand — live slots in ascending order, the maintained
 //!   tree handed over without a rebuild.  Every instance, fresh or
 //!   recovered, comes from one bulk build over its live set
@@ -45,9 +45,11 @@ use crate::scheme::OrientationScheme;
 use crate::shard::ShardSpec;
 use crate::solver::{Orienter, SelectionPolicy, Solver, Theorem2Orienter};
 use crate::verify::{VerificationReport, Violation};
-use antennae_geometry::{Point, TileGrid, EPS};
+use antennae_geometry::{Point, EPS};
 use antennae_graph::dynamic::{DynamicEmst, DynamicEmstError};
+use antennae_graph::euclidean::EmstError;
 use antennae_graph::{DiGraph, TraversalScratch};
+use std::collections::HashSet;
 
 /// Stable identifier of a sensor inside a [`DynamicInstance`].
 ///
@@ -61,6 +63,12 @@ fn map_emst_error(e: DynamicEmstError) -> OrientError {
     match e {
         DynamicEmstError::UnknownSlot(id) => OrientError::UnknownSensor { id },
     }
+}
+
+/// The error an edit to a NaN or infinite location gets: the one the static
+/// build gives for such a point, naming the sensor's id.
+fn non_finite_point(id: SensorId) -> OrientError {
+    OrientError::MstConstruction(EmstError::NonFinitePoint { index: id }.to_string())
 }
 
 /// A sensor deployment under churn: accepts insert/remove/move edits while
@@ -95,9 +103,8 @@ pub struct DynamicInstance {
 }
 
 impl DynamicInstance {
-    /// Builds an unsharded dynamic instance over an initial deployment;
-    /// sensor `i` of `points` gets id `i` (see
-    /// [`DynamicInstance::from_entries`]).
+    /// Builds a dynamic instance over an initial deployment; sensor `i` of
+    /// `points` gets id `i` (see [`DynamicInstance::from_entries`]).
     ///
     /// An empty `points` slice is allowed: the deployment starts with zero
     /// live sensors and grows through [`DynamicInstance::insert`] — the shape
@@ -105,37 +112,30 @@ impl DynamicInstance {
     /// first sensor arrives.  (Only [`DynamicInstance::instance`] requires a
     /// non-empty live set, because a static [`Instance`] cannot be empty.)
     pub fn new(points: &[Point]) -> Result<Self, OrientError> {
-        Self::new_sharded(points, ShardSpec::Off)
+        let entries: Vec<(SensorId, Point)> = points.iter().copied().enumerate().collect();
+        Self::from_entries(&entries, points.len())
     }
 
-    /// Builds a dynamic instance whose spatial index is sharded per `spec`
-    /// (see [`DynamicInstance::from_entries`]); sensor `i` of `points` gets
-    /// id `i`.
-    pub fn new_sharded(points: &[Point], spec: ShardSpec) -> Result<Self, OrientError> {
-        let entries: Vec<(SensorId, Point)> = points.iter().copied().enumerate().collect();
-        Self::from_entries(&entries, points.len(), spec)
+    /// Equal to [`DynamicInstance::new`]: exists only because the frozen
+    /// benchmark under `perfbench/` calls it (see [`crate::shard`]).
+    pub fn new_sharded(points: &[Point], _spec: ShardSpec) -> Result<Self, OrientError> {
+        Self::new(points)
     }
 
     /// The bulk constructor every dynamic instance comes from: the live
     /// `(id, point)` set in strictly ascending id order, plus the `next_id`
     /// horizon (ids below it without an entry are dead, and stay dead).
     ///
-    /// The MST is one global static build over the live set
-    /// ([`antennae_graph::euclidean::EuclideanMst::build_with_engine_threads`]),
-    /// the tree the same live set reaches through any edit history, so
-    /// crash recovery costs O(n log n).  `spec` only partitions the spatial
-    /// index that edits query (see [`crate::shard`]).  Specs that do not
-    /// resolve for this deployment ([`ShardSpec::Off`], [`ShardSpec::Auto`]
-    /// below its size threshold, degenerate bounding boxes — including the
-    /// empty deployment) mean a one-tile grid; either way the answers are
-    /// bit-identical, only their cost differs.
+    /// The MST is one static build over the live set
+    /// ([`antennae_graph::euclidean::EuclideanMst::build`]), the tree the
+    /// same live set reaches through any edit history, so crash recovery
+    /// costs O(n log n).
     ///
     /// Fails with [`OrientError::Internal`] when the ids are not strictly
     /// ascending below `next_id`.
     pub fn from_entries(
         entries: &[(SensorId, Point)],
         next_id: SensorId,
-        spec: ShardSpec,
     ) -> Result<Self, OrientError> {
         let mut prev: Option<SensorId> = None;
         for &(id, _) in entries {
@@ -147,24 +147,9 @@ impl DynamicInstance {
             }
             prev = Some(id);
         }
-        let live: Vec<Point> = entries.iter().map(|&(_, p)| p).collect();
-        let grid = spec.resolve(&live).unwrap_or_else(TileGrid::single);
-        let emst = DynamicEmst::from_entries(entries, next_id, grid)
+        let emst = DynamicEmst::from_entries(entries, next_id)
             .map_err(|e| OrientError::MstConstruction(e.to_string()))?;
         Ok(DynamicInstance { emst, cache: None })
-    }
-
-    /// The shard grid backing this instance as `(tiles_x, tiles_y)`, `None`
-    /// when the instance is unsharded (one tile).
-    pub fn shard_grid(&self) -> Option<(usize, usize)> {
-        let grid = self.emst.tile_grid();
-        (grid.tiles() > 1).then(|| (grid.tiles_x(), grid.tiles_y()))
-    }
-
-    /// Occupied (non-empty) tiles of a sharded instance, `None` when
-    /// unsharded.
-    pub fn shard_occupied(&self) -> Option<usize> {
-        self.shard_grid().map(|_| self.emst.occupied_tiles())
     }
 
     /// A dynamic instance with zero live sensors (grow it with
@@ -232,7 +217,14 @@ impl DynamicInstance {
     }
 
     /// Inserts a sensor, returning its id.
+    ///
+    /// # Panics
+    ///
+    /// When a coordinate of `p` is NaN or infinite, before anything
+    /// changes.  [`DynamicSolverSession::apply`] refuses such an insert
+    /// with an error instead.
     pub fn insert(&mut self, p: Point) -> SensorId {
+        assert!(p.is_finite(), "sensor location {p} is not finite");
         self.cache = None;
         self.emst.insert(p)
     }
@@ -244,8 +236,12 @@ impl DynamicInstance {
         self.emst.remove(id).map_err(map_emst_error)
     }
 
-    /// Moves a live sensor to a new location (id is preserved).
+    /// Moves a live sensor to a new location (id is preserved).  A NaN or
+    /// infinite location is refused before anything changes.
     pub fn move_sensor(&mut self, id: SensorId, p: Point) -> Result<(), OrientError> {
+        if !p.is_finite() {
+            return Err(non_finite_point(id));
+        }
         self.cache = None;
         self.emst.move_to(id, p).map_err(map_emst_error)
     }
@@ -513,47 +509,35 @@ impl DynamicSolverSession {
         })
     }
 
-    /// Validates `edits` against a *projected* live set (ids are monotone,
-    /// so insert ids are predictable) without touching any state.  Returns
-    /// the ids the batch's inserts will be assigned.
+    /// Validates `edits` without touching any state: each edit is checked
+    /// against the live set plus an overlay of the batch's own inserts (ids
+    /// are monotone, so they get `next_id` upwards) and removes, so the cost
+    /// is O(batch) whatever the deployment size.  An `Insert` or `Move` to a
+    /// NaN or infinite location is refused with the static build's error.
+    /// Returns the ids the batch's inserts will be assigned.
     fn validate_edits(&self, edits: &[Edit]) -> Result<Vec<SensorId>, OrientError> {
-        // Single-edit batches (the server's common case) need no projected
-        // live table: ids are monotone, so the one insert gets `next_id`,
-        // and a remove/move only needs its id to be live right now.
-        if let [edit] = edits {
-            return match *edit {
-                Edit::Insert(_) => Ok(vec![self.inst.next_id()]),
-                Edit::Remove(id) | Edit::Move(id, _) => {
-                    if self.inst.is_alive(id) {
-                        Ok(Vec::new())
-                    } else {
-                        Err(OrientError::UnknownSensor { id })
-                    }
-                }
-            };
-        }
-        let mut alive = vec![false; self.inst.next_id()];
-        for id in self.inst.ids() {
-            alive[id] = true;
-        }
-        let mut inserted = Vec::new();
+        let next_id = self.inst.next_id();
+        let mut inserted: Vec<SensorId> = Vec::new();
+        let mut removed: HashSet<SensorId> = HashSet::new();
         for edit in edits {
-            match *edit {
-                Edit::Insert(_) => {
-                    inserted.push(alive.len());
-                    alive.push(true);
-                }
-                Edit::Remove(id) => {
-                    if !alive.get(id).copied().unwrap_or(false) {
-                        return Err(OrientError::UnknownSensor { id });
-                    }
-                    alive[id] = false;
-                }
-                Edit::Move(id, _) => {
-                    if !alive.get(id).copied().unwrap_or(false) {
-                        return Err(OrientError::UnknownSensor { id });
-                    }
-                }
+            let (id, to) = match *edit {
+                Edit::Insert(p) => (next_id + inserted.len(), Some(p)),
+                Edit::Remove(id) => (id, None),
+                Edit::Move(id, p) => (id, Some(p)),
+            };
+            if to.is_some_and(|p| !p.is_finite()) {
+                return Err(non_finite_point(id));
+            }
+            if let Edit::Insert(_) = edit {
+                inserted.push(id);
+                continue;
+            }
+            let live = self.inst.is_alive(id) || (next_id..next_id + inserted.len()).contains(&id);
+            if !live || removed.contains(&id) {
+                return Err(OrientError::UnknownSensor { id });
+            }
+            if let Edit::Remove(_) = edit {
+                removed.insert(id);
             }
         }
         Ok(inserted)
@@ -573,9 +557,9 @@ impl DynamicSolverSession {
     /// both captured by the accumulated dirty set, with the reverse-radius
     /// query widened to the larger of the pre- and post-batch max radius.
     ///
-    /// The whole batch is validated against a projected live set before any
-    /// state changes, so an invalid edit (unknown or dead id anywhere in the
-    /// burst) rejects the batch atomically.
+    /// The whole batch is validated before any state changes, so an invalid
+    /// edit (an unknown or dead id, or a non-finite location, anywhere in
+    /// the burst) rejects the batch atomically.
     pub fn apply_coalesced(&mut self, edits: &[Edit]) -> Result<BatchOutcome, OrientError> {
         let inserted_ids = self.validate_edits(edits)?;
         let old_max_radius = self.max_radius;
@@ -669,40 +653,29 @@ impl DynamicSolverSession {
     /// Rebuilds a session from a durable image: a sparse `base` live set
     /// (original ids, strictly ascending, below the `next_id` horizon) plus
     /// a `tail` of logged-but-uncompacted edits — the shape a write-ahead
-    /// log hands recovery.  Shards per [`ShardSpec::default`]; see
-    /// [`DynamicSolverSession::replay_sharded`].
+    /// log hands recovery.
+    ///
+    /// That is one bulk build of `base` ([`DynamicInstance::from_entries`],
+    /// O(n log n)), a session over it, and the whole `tail` applied as
+    /// **one** [`DynamicSolverSession::apply_coalesced`] repair.  The bulk
+    /// build is the tree the base's live set reached through its history,
+    /// and the coalescing and incremental-vs-fresh oracles
+    /// (`tests/dynamic_oracle.rs`) make the result bit-equal (`f64::to_bits`
+    /// on `lmax`/MST weights, exact scheme/digraph equality) to the session
+    /// that lived through the original edit history, whatever its batch
+    /// boundaries were — except where coincident sensors force the
+    /// history-dependent degree-5 exchange (see `antennae_graph::dynamic`).
+    ///
+    /// Fails with [`OrientError::Internal`] on a malformed base, or with the
+    /// usual batch errors when the tail references ids the projected live
+    /// set does not hold (a salvaged-but-inconsistent log).
     pub fn replay(
         budget: AntennaBudget,
         base: &[(SensorId, Point)],
         next_id: SensorId,
         tail: &[Edit],
     ) -> Result<Self, OrientError> {
-        Self::replay_sharded(budget, base, next_id, tail, ShardSpec::default())
-    }
-
-    /// [`DynamicSolverSession::replay`] with an explicit shard spec: one
-    /// bulk build of `base` ([`DynamicInstance::from_entries`], O(n log n)),
-    /// a session over it, and the whole `tail` applied as **one**
-    /// [`DynamicSolverSession::apply_coalesced`] repair.  The bulk build is
-    /// the tree the base's live set reached through its history, and the
-    /// coalescing and incremental-vs-fresh oracles (`tests/dynamic_oracle.rs`)
-    /// make the result bit-equal (`f64::to_bits` on `lmax`/MST weights,
-    /// exact scheme/digraph equality) to the session that lived through the
-    /// original edit history, whatever its batch boundaries were — except
-    /// where coincident sensors force the history-dependent degree-5
-    /// exchange (see `antennae_graph::dynamic`).
-    ///
-    /// Fails with [`OrientError::Internal`] on a malformed base, or with the
-    /// usual batch errors when the tail references ids the projected live
-    /// set does not hold (a salvaged-but-inconsistent log).
-    pub fn replay_sharded(
-        budget: AntennaBudget,
-        base: &[(SensorId, Point)],
-        next_id: SensorId,
-        tail: &[Edit],
-        spec: ShardSpec,
-    ) -> Result<Self, OrientError> {
-        let inst = DynamicInstance::from_entries(base, next_id, spec)?;
+        let inst = DynamicInstance::from_entries(base, next_id)?;
         let mut session = DynamicSolverSession::new(inst, budget)?;
         if !tail.is_empty() {
             session.apply_coalesced(tail)?;
@@ -1194,5 +1167,50 @@ mod tests {
             .unwrap();
         assert!(moved.report.is_valid());
         assert_matches_static(&mut session);
+    }
+
+    #[test]
+    fn non_finite_locations_are_rejected_before_any_state_changes() {
+        let budget = AntennaBudget::new(2, theorem2_spread_threshold(2));
+        let inst = DynamicInstance::new(&random_points(50, 12)).unwrap();
+        let mut session = DynamicSolverSession::new(inst, budget).unwrap();
+        let ids = session.instance().ids();
+        let lmax = session.instance().lmax().to_bits();
+        let report = session.report().clone();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for p in [Point::new(bad, 1.0), Point::new(1.0, bad)] {
+                for edits in [
+                    vec![Edit::Insert(p)],
+                    vec![Edit::Move(3, p)],
+                    vec![
+                        Edit::Insert(Point::new(1.0, 1.0)),
+                        Edit::Remove(5),
+                        Edit::Insert(p),
+                    ],
+                    vec![Edit::Move(7, Point::new(2.0, 2.0)), Edit::Move(3, p)],
+                ] {
+                    let err = session.apply_coalesced(&edits).unwrap_err();
+                    assert!(
+                        matches!(&err, OrientError::MstConstruction(m) if m.contains("non-finite")),
+                        "{edits:?}: {err:?}"
+                    );
+                    assert_eq!(session.instance().ids(), ids);
+                    assert_eq!(session.instance().lmax().to_bits(), lmax);
+                    assert_eq!(session.report(), &report);
+                }
+                assert!(session.apply(Edit::Insert(p)).is_err());
+                let mut inst = session.instance().clone();
+                assert!(inst.move_sensor(3, p).is_err());
+                assert_eq!(inst.point(3).unwrap(), session.instance().point(3).unwrap());
+            }
+        }
+        assert_matches_static(&mut session);
+    }
+
+    #[test]
+    #[should_panic(expected = "not finite")]
+    fn instance_insert_panics_on_a_non_finite_location() {
+        let mut inst = DynamicInstance::new(&random_points(5, 1)).unwrap();
+        inst.insert(Point::new(f64::NAN, 0.0));
     }
 }

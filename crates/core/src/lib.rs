@@ -56,13 +56,9 @@
 //! [`dynamic::DynamicSolverSession`]: insert/remove/move edits incrementally
 //! maintain the spatial index, the MST, the orientation scheme and the
 //! verification verdict, with every layer oracle-tested against the
-//! from-scratch pipeline.
-//!
-//! Deployments large enough to care are **spatially sharded** through
-//! [`dynamic::DynamicInstance::new_sharded`]: the dynamic spatial index
-//! edits query becomes a per-tile kd forest, while the MST is still built by
-//! the one global engine, so sharding is a pure cost optimization (see
-//! [`shard`]).
+//! from-scratch pipeline.  Each deployment keeps one dynamic kd-tree as its
+//! spatial index, whatever its size ([`shard`] holds the two names the
+//! frozen benchmark still calls).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -85,7 +81,6 @@ pub use dynamic::{BatchOutcome, DynamicInstance, DynamicSolverSession, Edit, Edi
 pub use error::OrientError;
 pub use instance::Instance;
 pub use scheme::OrientationScheme;
-pub use shard::ShardSpec;
 pub use solver::{
     Guarantee, OrientationOutcome, Orienter, Registry, SelectionPolicy, Solver, VerifiedOutcome,
 };

@@ -4,19 +4,27 @@
 //!
 //! The static [`KdTree`] is immutable by design — every query in the MST and
 //! verification engines relies on its deterministic layout.  Dynamic
-//! deployments (sensors arriving, failing, moving) therefore use this
-//! wrapper, one per tile of a [`crate::tiles::TiledKdForest`]: edits land
-//! in O(1) amortized (an append to the insert buffer or
-//! a tombstone flag), queries consult the snapshot *and* linearly scan the
-//! small buffer, and once the dirty fraction crosses a threshold the
-//! snapshot is rebuilt from the live set in one O(n log n) pass.
+//! deployments (sensors arriving, failing, moving) therefore keep one
+//! [`DynamicKdTree`] each: an insert appends to the buffer, a removal drops
+//! its buffer entry or sets a tombstone flag, a query consults the snapshot
+//! *and* scans the buffer linearly, and once the buffered plus tombstoned
+//! entries exceed `max(16, 2·⌊√live⌋)` the snapshot is rebuilt from the live
+//! set in one O(n log n) pass.
+//!
+//! The √n limit balances the two costs.  A rebuild runs once per Θ(√n)
+//! dirty entries, so it amortizes to O(√n log n) per edit, and no query
+//! scans more than 2√n + 16 buffered entries.  A limit proportional to `n`
+//! would amortize the rebuild further but let every query scan a buffer of
+//! Θ(n) entries (6,250 at n = 10⁵ under `n/16`), which the removal repair's
+//! one nearest query per member of the smaller component multiplies.
 //!
 //! Entries are keyed by caller-assigned *slots* (stable `usize` ids).  All
 //! query results are reported in slot space with the same tie-breaking
 //! contract as the static tree: distance ties go to the smaller slot, range
-//! queries return slots sorted ascending.  That makes the dynamic index a
-//! drop-in replacement for a freshly built [`KdTree`] over the live points —
-//! the equality the dynamic-instance oracle tests in `antennae-core` pin.
+//! queries return slots sorted ascending.  Every answer is therefore a pure
+//! function of the live `(slot, point)` set — the same as a freshly built
+//! [`KdTree`] over the live points, whatever the edit history and rebuild
+//! timing.
 
 use crate::kdtree::KdTree;
 use crate::point::Point;
@@ -44,16 +52,12 @@ pub struct DynamicKdTree {
     buffer: Vec<(usize, Point)>,
     stale_count: usize,
     live: usize,
-    rebuilds: usize,
-    /// Dirty-entry count (buffer + tombstones) that triggers a rebuild.
-    rebuild_limit: fn(usize) -> usize,
 }
 
-/// Default rebuild threshold: rebuild once the dirty count exceeds
-/// `max(16, live/16)` — the buffer stays short enough that the per-query
-/// linear scan is noise, and rebuild cost amortizes to O(log n) per edit.
-fn default_rebuild_limit(live: usize) -> usize {
-    (live / 16).max(16)
+/// The dirty-entry count (buffer + tombstones) above which the snapshot is
+/// rebuilt: `max(16, 2·⌊√live⌋)` (see the [module docs](self)).
+fn rebuild_limit(live: usize) -> usize {
+    (2 * live.isqrt()).max(16)
 }
 
 impl DynamicKdTree {
@@ -81,29 +85,11 @@ impl DynamicKdTree {
             pos_of_slot,
             buffer: Vec::new(),
             stale_count: 0,
-            rebuilds: 0,
-            rebuild_limit: default_rebuild_limit,
         }
     }
 
-    /// Number of live (inserted and not removed) entries.
-    pub fn len_live(&self) -> usize {
-        self.live
-    }
-
-    /// Returns `true` when no live entry is stored.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// How many threshold-triggered rebuilds have run (telemetry for tests
-    /// and the churn experiment).
-    pub fn rebuild_count(&self) -> usize {
-        self.rebuilds
-    }
-
     /// Returns `true` when `slot` currently holds a live entry.
-    pub fn contains(&self, slot: usize) -> bool {
+    fn contains(&self, slot: usize) -> bool {
         if self.buffer.iter().any(|&(s, _)| s == slot) {
             return true;
         }
@@ -135,39 +121,22 @@ impl DynamicKdTree {
         self.maybe_rebuild();
     }
 
-    /// Moves the live entry under `slot` to `point` (tombstone + re-insert
-    /// under the same slot).
-    pub fn update(&mut self, slot: usize, point: Point) {
-        self.remove(slot);
-        self.insert(slot, point);
-    }
-
     fn maybe_rebuild(&mut self) {
-        if self.buffer.len() + self.stale_count > (self.rebuild_limit)(self.live) {
+        if self.buffer.len() + self.stale_count > rebuild_limit(self.live) {
             self.rebuild();
         }
     }
 
     /// Compacts the edit log into a fresh snapshot over the live entries.
-    pub fn rebuild(&mut self) {
+    fn rebuild(&mut self) {
         let mut entries: Vec<(usize, Point)> = Vec::with_capacity(self.live);
         for (pos, &slot) in self.snapshot_slots.iter().enumerate() {
             if !self.stale[pos] {
-                entries.push((slot, self.snapshot_point(pos)));
+                entries.push((slot, self.snapshot.point(pos)));
             }
         }
         entries.extend_from_slice(&self.buffer);
-        let rebuilds = self.rebuilds + 1;
         *self = DynamicKdTree::new(&entries);
-        self.rebuilds = rebuilds;
-    }
-
-    /// The point stored at snapshot position `pos` (positions match the
-    /// build order, which the static tree preserves in its `points` slice —
-    /// recovered through a nearest query of radius 0 would be silly, so the
-    /// slot table keeps its own copy via the buffer-or-snapshot split).
-    fn snapshot_point(&self, pos: usize) -> Point {
-        self.snapshot.point(pos)
     }
 
     /// All live slots within `radius` of `query` (closed ball), sorted
@@ -181,20 +150,6 @@ impl DynamicKdTree {
         out: &mut Vec<usize>,
     ) {
         out.clear();
-        self.append_within_radius(query, radius, scratch, out);
-        out.sort_unstable();
-    }
-
-    /// Appends every live slot within `radius` of `query` to `out`,
-    /// unsorted — the per-tile step of a forest query, which sorts once
-    /// after visiting every tile.
-    pub(crate) fn append_within_radius(
-        &self,
-        query: &Point,
-        radius: f64,
-        scratch: &mut Vec<usize>,
-        out: &mut Vec<usize>,
-    ) {
         self.snapshot.within_radius_into(query, radius, scratch);
         for &pos in scratch.iter() {
             if !self.stale[pos] {
@@ -206,15 +161,7 @@ impl DynamicKdTree {
                 out.push(slot);
             }
         }
-    }
-
-    /// Allocating convenience wrapper over
-    /// [`DynamicKdTree::within_radius_with`].
-    pub fn within_radius(&self, query: &Point, radius: f64) -> Vec<usize> {
-        let mut scratch = Vec::new();
-        let mut out = Vec::new();
-        self.within_radius_with(query, radius, &mut scratch, &mut out);
-        out
+        out.sort_unstable();
     }
 
     /// Nearest live slot to `query` for which `skip` returns `false`, as
@@ -264,18 +211,28 @@ impl DynamicKdTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    fn assert_matches_fresh(dynamic: &DynamicKdTree, live: &[(usize, Point)]) {
-        // Every query must agree with a fresh static tree over the live set.
+    fn within(t: &DynamicKdTree, q: &Point, r: f64) -> Vec<usize> {
+        let mut out = Vec::new();
+        t.within_radius_with(q, r, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// Every query must agree with a fresh static tree over the live set:
+    /// the same slots for the range queries, the same `(slot, distance)`
+    /// bits for the nearest ones.
+    fn assert_matches_fresh(dynamic: &DynamicKdTree, live: &[(usize, Point)], queries: &[Point]) {
+        let mut live = live.to_vec();
+        live.sort_unstable_by_key(|&(s, _)| s);
+        assert_eq!(dynamic.live, live.len());
         let points: Vec<Point> = live.iter().map(|&(_, p)| p).collect();
         let slots: Vec<usize> = live.iter().map(|&(s, _)| s).collect();
+        // Slots ascend with positions, so the fresh tree's index
+        // tie-breaking is the dynamic tree's slot tie-breaking.
         let fresh = KdTree::build(&points);
-        let queries = [
-            Point::new(0.0, 0.0),
-            Point::new(2.5, 1.5),
-            Point::new(-1.0, 4.0),
-        ];
-        for q in &queries {
+        for q in queries {
             for r in [0.5, 2.0, 10.0] {
                 let mut expected: Vec<usize> = fresh
                     .within_radius(q, r)
@@ -283,22 +240,21 @@ mod tests {
                     .map(|i| slots[i])
                     .collect();
                 expected.sort_unstable();
-                assert_eq!(dynamic.within_radius(q, r), expected, "q={q} r={r}");
+                assert_eq!(within(dynamic, q, r), expected, "q={q} r={r}");
             }
-            let expected = fresh.nearest(q).map(|(i, d)| (slots[i], d));
-            let got = dynamic.nearest_filtered_slot(q, |_| false);
-            match (got, expected) {
-                (None, None) => {}
-                (Some((gs, gd)), Some((es, ed))) => {
-                    assert!((gd - ed).abs() < 1e-12, "{gd} vs {ed}");
-                    // Slot ids may differ only on exact distance ties where
-                    // the two live orderings coincide anyway.
-                    assert_eq!(gs, es);
-                }
-                other => panic!("mismatch: {other:?}"),
-            }
+            let expected = fresh.nearest(q).map(|(i, d)| (slots[i], d.to_bits()));
+            let got = dynamic
+                .nearest_filtered_slot(q, |_| false)
+                .map(|(s, d)| (s, d.to_bits()));
+            assert_eq!(got, expected, "nearest to {q}");
         }
     }
+
+    const QUERIES: [Point; 3] = [
+        Point { x: 0.0, y: 0.0 },
+        Point { x: 2.5, y: 1.5 },
+        Point { x: -1.0, y: 4.0 },
+    ];
 
     #[test]
     fn edits_track_a_fresh_tree() {
@@ -306,60 +262,90 @@ mod tests {
             .map(|i| (i, Point::new(i as f64 * 0.7, (i % 3) as f64)))
             .collect();
         let mut t = DynamicKdTree::new(&live);
-        assert_eq!(t.len_live(), 10);
-        assert_matches_fresh(&t, &live);
+        assert_matches_fresh(&t, &live, &QUERIES);
 
         // Insert a few new slots.
         for (j, p) in [(10, Point::new(1.1, 2.2)), (11, Point::new(-0.5, 0.5))] {
             t.insert(j, p);
             live.push((j, p));
-            assert_matches_fresh(&t, &live);
+            assert_matches_fresh(&t, &live, &QUERIES);
         }
         // Remove some snapshot and some buffered entries.
         for slot in [3usize, 10, 0] {
             t.remove(slot);
             live.retain(|&(s, _)| s != slot);
-            assert_matches_fresh(&t, &live);
+            assert_matches_fresh(&t, &live, &QUERIES);
         }
-        // Move an entry.
-        t.update(5, Point::new(9.0, 9.0));
+        // Move an entry (tombstone + re-insert under the same slot).
+        t.remove(5);
+        t.insert(5, Point::new(9.0, 9.0));
         live.iter_mut().find(|e| e.0 == 5).unwrap().1 = Point::new(9.0, 9.0);
-        assert_matches_fresh(&t, &live);
+        assert_matches_fresh(&t, &live, &QUERIES);
         assert!(t.contains(5));
         assert!(!t.contains(3));
     }
 
+    /// Random inserts, removes and moves over ~4,000 live entries for
+    /// several rebuild periods: the dirty count never exceeds `2·√live`
+    /// (the limit is above its floor of 16 here), and every query matches a
+    /// fresh tree after every edit.
     #[test]
-    fn threshold_rebuild_fires_and_preserves_queries() {
-        let mut live: Vec<(usize, Point)> = (0..40)
-            .map(|i| (i, Point::new((i % 8) as f64, (i / 8) as f64)))
-            .collect();
+    fn rebuilds_keep_the_dirty_log_within_twice_root_live() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let side = 64.0;
+        let uniform =
+            |rng: &mut StdRng| Point::new(rng.random_range(0.0..side), rng.random_range(0.0..side));
+        let mut live: Vec<(usize, Point)> = (0..4000).map(|s| (s, uniform(&mut rng))).collect();
         let mut t = DynamicKdTree::new(&live);
-        for (next, round) in (40usize..).zip(0..60) {
-            let p = Point::new(0.37 * round as f64 % 7.0, 0.53 * round as f64 % 5.0);
-            t.insert(next, p);
-            live.push((next, p));
-            let victim = live[round % live.len()].0;
-            t.remove(victim);
-            live.retain(|&(s, _)| s != victim);
+        let mut next = live.len();
+        let mut rebuilds = 0;
+        let mut step = 0;
+        while rebuilds < 3 || step < 600 {
+            let dirty_before = t.buffer.len() + t.stale_count;
+            let p = uniform(&mut rng);
+            match rng.random_range(0..10) {
+                0..=3 => {
+                    let at = rng.random_range(0..live.len());
+                    t.remove(live[at].0);
+                    t.insert(live[at].0, p);
+                    live[at].1 = p;
+                }
+                4..=6 => {
+                    t.insert(next, p);
+                    live.push((next, p));
+                    next += 1;
+                }
+                _ => {
+                    let (slot, _) = live.swap_remove(rng.random_range(0..live.len()));
+                    t.remove(slot);
+                }
+            }
+            let dirty = t.buffer.len() + t.stale_count;
+            assert!(
+                dirty as f64 <= 2.0 * (live.len() as f64).sqrt(),
+                "step {step}: {dirty} dirty entries over {} live",
+                live.len()
+            );
+            if dirty < dirty_before.saturating_sub(2) {
+                rebuilds += 1;
+            }
+            let queries = [live[step % live.len()].1, uniform(&mut rng), Point::ORIGIN];
+            assert_matches_fresh(&t, &live, &queries);
+            step += 1;
         }
-        assert!(t.rebuild_count() > 0, "threshold rebuild never fired");
-        assert_eq!(t.len_live(), live.len());
-        assert_matches_fresh(&t, &live);
+        assert!(rebuilds >= 3, "{rebuilds} rebuilds in {step} edits");
     }
 
     #[test]
     fn empty_and_single_entry() {
         let t = DynamicKdTree::new(&[]);
-        assert!(t.is_empty());
         assert!(t.nearest_filtered_slot(&Point::ORIGIN, |_| false).is_none());
-        assert!(t.within_radius(&Point::ORIGIN, 5.0).is_empty());
+        assert!(within(&t, &Point::ORIGIN, 5.0).is_empty());
 
         let mut t = DynamicKdTree::new(&[(0, Point::new(1.0, 1.0))]);
-        assert_eq!(t.len_live(), 1);
-        assert_eq!(t.within_radius(&Point::ORIGIN, 2.0), vec![0]);
+        assert_eq!(within(&t, &Point::ORIGIN, 2.0), vec![0]);
         t.remove(0);
-        assert!(t.is_empty());
-        assert!(t.within_radius(&Point::ORIGIN, 2.0).is_empty());
+        assert_eq!(t.live, 0);
+        assert!(within(&t, &Point::ORIGIN, 2.0).is_empty());
     }
 }

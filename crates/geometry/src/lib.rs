@@ -22,9 +22,10 @@
 //!   model, and the exact `orient2d` / `incircle` predicates.
 //! * [`delaunay`] — the exact Delaunay triangulation under the Euclidean MST
 //!   builder.
-//! * [`kdtree`] — the static spatial index under the verifier; [`tiles`]
-//!   partitions the plane into a uniform grid and keeps one dynamic kd-tree
-//!   per tile ([`TiledKdForest`]) for deployments under churn.
+//! * [`kdtree`] — the static spatial index under the verifier; [`dynamic`]
+//!   wraps it in the mutable index ([`dynamic::DynamicKdTree`]) that every
+//!   deployment under churn keeps, rebuilding its snapshot once `~2√n`
+//!   edits have accumulated.
 //! * [`angular`] — sorting points counterclockwise around a pivot and
 //!   analysing the angular gaps between consecutive neighbours, the key
 //!   sub-routine of Lemma 1 and of the chain constructions of Theorems 5/6.
@@ -46,7 +47,6 @@ pub mod kdtree;
 pub mod point;
 pub mod predicates;
 pub mod sector;
-pub mod tiles;
 pub mod triangle;
 pub mod vector;
 
@@ -56,7 +56,6 @@ pub use delaunay::Delaunay;
 pub use kdtree::{KdIndex, KdTree};
 pub use point::Point;
 pub use sector::Sector;
-pub use tiles::{TileGrid, TiledKdForest};
 pub use triangle::Triangle;
 pub use vector::Vector;
 

@@ -3,8 +3,8 @@
 //! [`DynamicEmst`] keeps a degree-5 Euclidean MST correct under three edits —
 //! [`insert`](DynamicEmst::insert), [`remove`](DynamicEmst::remove) and
 //! [`move_to`](DynamicEmst::move_to) — without re-running the full engine.
-//! It has one spatial index, a [`TiledKdForest`] (a single tile unless the
-//! deployment is sharded), one constructor and one repair path per edit:
+//! It has one spatial index, a [`DynamicKdTree`] over the live sensors, one
+//! constructor and one repair path per edit:
 //!
 //! * **Build.**  [`DynamicEmst::from_entries`] takes the live `(slot,
 //!   point)` pairs in ascending slot order and runs the static build
@@ -13,15 +13,14 @@
 //!   the engines' shared `(weight, min, max)` edge order and hence the same
 //!   unique MST.  Fresh, empty and
 //!   recovered deployments all start here, so rebuilding a tenant from a
-//!   durable image costs one O(n log n) build.  The tile grid only
-//!   partitions the spatial index the edits query.
+//!   durable image costs one O(n log n) build.
 //! * **Insert** uses the vertex-insertion fact of Chin & Houck (*Algorithms
 //!   for updating minimal spanning trees*, JCSS 1978): a minimum spanning
 //!   tree of `P ∪ {q}` lies inside `T ∪ star(q)`, where `T` is any MST of
 //!   `P` and `star(q)` are the edges from `q` to every point.  Only the star
 //!   edges inside a Lemma-1-scale ball can enter, so the insert collects
 //!   that bounded star from the index, prunes it by the cycle property and
-//!   folds the survivors in with path-max swaps — exact for any index.
+//!   folds the survivors in with path-max swaps.
 //! * **Remove** deletes the vertex's ≤ 5 incident edges, which splits the
 //!   tree into at most 5 components, every remaining tree edge still being
 //!   MST-valid (each stays a minimum edge across its own cut).  The repair is
@@ -32,8 +31,9 @@
 //! * **Move** is detach + re-attach under the same slot.
 //!
 //! Vertices are identified by stable **slots** (monotonically assigned
-//! `usize` ids); removed slots are tombstoned, and each tile's kd-tree
-//! compacts itself through threshold rebuilds.  After every edit the engine
+//! `usize` ids); removed slots are tombstoned, and the kd-tree compacts
+//! itself once `~2√n` edits have accumulated (see
+//! [`antennae_geometry::dynamic`]).  After every edit the engine
 //! reports which live slots had their tree neighborhood changed
 //! ([`DynamicEmst::changed_slots`]) — the hook the incremental
 //! re-orientation in `antennae-core` keys its dirty set off.
@@ -50,7 +50,8 @@
 use crate::euclidean::{EmstError, EuclideanMst, MAX_MST_DEGREE};
 use crate::graph::Graph;
 use antennae_geometry::angular::{circular_gaps, sort_ccw};
-use antennae_geometry::{Point, TileGrid, TiledKdForest};
+use antennae_geometry::dynamic::DynamicKdTree;
+use antennae_geometry::Point;
 
 /// Inclusive widening applied to the bounded-star collection radius of the
 /// insert path, so a star edge whose *weight* rounds to exactly the radius
@@ -106,7 +107,7 @@ pub struct DynamicEmst {
     /// The tree's edges sorted by the shared `(w, min, max)` order — the
     /// source of `lmax` (its last entry).
     sorted_edges: Vec<SlotEdge>,
-    index: TiledKdForest,
+    index: DynamicKdTree,
     /// Live slots whose tree neighborhood changed in the last edit.
     changed: Vec<usize>,
     /// Component-labeling scratch shared by [`DynamicEmst::reconnect`]
@@ -126,8 +127,7 @@ impl DynamicEmst {
     /// The one constructor: `entries` are the live `(slot, point)` pairs in
     /// strictly ascending slot order, `next_slot` is the slot the next
     /// [`DynamicEmst::insert`] returns (every slot below it without an
-    /// entry is dead), and `grid` partitions the spatial index —
-    /// [`TileGrid::single`] for an unsharded deployment.
+    /// entry is dead).
     ///
     /// **Empty** entries are allowed: the engine starts with no live slots
     /// (edgeless, `lmax == 0`) and grows through [`DynamicEmst::insert`] —
@@ -145,11 +145,7 @@ impl DynamicEmst {
     /// # Panics
     ///
     /// When the entry slots are not strictly ascending below `next_slot`.
-    pub fn from_entries(
-        entries: &[(usize, Point)],
-        next_slot: usize,
-        grid: TileGrid,
-    ) -> Result<Self, EmstError> {
+    pub fn from_entries(entries: &[(usize, Point)], next_slot: usize) -> Result<Self, EmstError> {
         assert!(
             entries.windows(2).all(|w| w[0].0 < w[1].0)
                 && entries.last().is_none_or(|&(slot, _)| slot < next_slot),
@@ -167,7 +163,7 @@ impl DynamicEmst {
             live: entries.len(),
             adj: vec![Vec::new(); next_slot],
             sorted_edges: Vec::new(),
-            index: TiledKdForest::new(grid, entries),
+            index: DynamicKdTree::new(entries),
             changed: Vec::new(),
             label_stamp: vec![0; next_slot],
             label_of: vec![0; next_slot],
@@ -258,17 +254,6 @@ impl DynamicEmst {
         out: &mut Vec<usize>,
     ) {
         self.index.within_radius_with(query, radius, scratch, out);
-    }
-
-    /// The grid the spatial index is partitioned by (one tile when the
-    /// deployment is unsharded).
-    pub fn tile_grid(&self) -> &TileGrid {
-        self.index.grid()
-    }
-
-    /// Tiles holding at least one live sensor.
-    pub fn occupied_tiles(&self) -> usize {
-        self.index.occupied_tiles()
     }
 
     /// Live slots whose tree neighborhood changed in the most recent edit
@@ -740,10 +725,10 @@ mod tests {
             .collect()
     }
 
-    /// A one-tile engine over a dense deployment (slot `i` = point `i`).
-    fn one_tile(points: &[Point]) -> DynamicEmst {
+    /// An engine over a dense deployment (slot `i` = point `i`).
+    fn engine(points: &[Point]) -> DynamicEmst {
         let entries: Vec<(usize, Point)> = points.iter().copied().enumerate().collect();
-        DynamicEmst::from_entries(&entries, points.len(), TileGrid::single()).unwrap()
+        DynamicEmst::from_entries(&entries, points.len()).unwrap()
     }
 
     /// The maintained tree must match a from-scratch build: spanning, same
@@ -775,7 +760,7 @@ mod tests {
 
     #[test]
     fn insert_grows_a_correct_tree() {
-        let mut emst = one_tile(&random_points(2, 1));
+        let mut emst = engine(&random_points(2, 1));
         let extra = random_points(30, 2);
         for p in extra {
             emst.insert(p);
@@ -788,7 +773,7 @@ mod tests {
     #[test]
     fn remove_repairs_the_tree() {
         let pts = random_points(40, 3);
-        let mut emst = one_tile(&pts);
+        let mut emst = engine(&pts);
         let mut rng = StdRng::seed_from_u64(9);
         while emst.live_count() > 1 {
             let live = emst.live_slots();
@@ -808,7 +793,7 @@ mod tests {
 
     #[test]
     fn empty_engine_grows_and_drains() {
-        let mut emst = one_tile(&[]);
+        let mut emst = engine(&[]);
         assert_eq!(emst.live_count(), 0);
         assert_eq!(emst.lmax(), 0.0);
         assert!(matches!(
@@ -838,7 +823,7 @@ mod tests {
     #[test]
     fn moves_track_the_rebuild() {
         let pts = random_points(25, 4);
-        let mut emst = one_tile(&pts);
+        let mut emst = engine(&pts);
         let mut rng = StdRng::seed_from_u64(10);
         for _ in 0..40 {
             let live = emst.live_slots();
@@ -860,7 +845,7 @@ mod tests {
                 pts.push(Point::new(i as f64, j as f64));
             }
         }
-        let mut emst = one_tile(&pts);
+        let mut emst = engine(&pts);
         let dup = emst.insert(Point::new(2.0, 2.0)); // exact duplicate
         assert_matches_rebuild(&emst);
         emst.insert(Point::new(2.0, 2.0));
@@ -873,7 +858,7 @@ mod tests {
 
     #[test]
     fn dead_slots_are_rejected() {
-        let mut emst = one_tile(&random_points(5, 6));
+        let mut emst = engine(&random_points(5, 6));
         emst.remove(2).unwrap();
         assert!(matches!(
             emst.remove(2),
@@ -894,77 +879,33 @@ mod tests {
             .collect()
     }
 
-    /// The index is a pure acceleration structure: a 3×3-tiled engine must
-    /// be **edit-for-edit bit-identical** to a one-tile one — same sorted
-    /// edge cache (weights compared by bits), same changed sets.
+    /// An engine grown from nothing (the deployment-server shape) holds the
+    /// bulk-built tree, weight bits included, when inserts land far outside
+    /// the first sensors' box.
     #[test]
-    fn tiled_engine_matches_one_tile_edit_for_edit() {
-        let pts = random_points(120, 21);
-        let entries: Vec<(usize, Point)> = pts.iter().copied().enumerate().collect();
-        let grid = TileGrid::with_tiles_per_axis(&pts, 3).unwrap();
-        let mut single = one_tile(&pts);
-        let mut tiled = DynamicEmst::from_entries(&entries, pts.len(), grid).unwrap();
-
-        let assert_same = |a: &DynamicEmst, b: &DynamicEmst| {
-            assert_eq!(edge_bits(a), edge_bits(b));
-            assert_eq!(a.changed_slots(), b.changed_slots());
-        };
-        assert_same(&single, &tiled);
-
-        let mut rng = StdRng::seed_from_u64(22);
-        for step in 0..120 {
-            match step % 3 {
-                0 => {
-                    let p = Point::new(rng.random_range(0.0..20.0), rng.random_range(0.0..20.0));
-                    assert_eq!(single.insert(p), tiled.insert(p));
-                }
-                1 => {
-                    let live = single.live_slots();
-                    let victim = live[rng.random_range(0..live.len())];
-                    single.remove(victim).unwrap();
-                    tiled.remove(victim).unwrap();
-                }
-                _ => {
-                    let live = single.live_slots();
-                    let slot = live[rng.random_range(0..live.len())];
-                    let p = Point::new(rng.random_range(0.0..20.0), rng.random_range(0.0..20.0));
-                    single.move_to(slot, p).unwrap();
-                    tiled.move_to(slot, p).unwrap();
-                }
-            }
-            assert_same(&single, &tiled);
+    fn engine_grows_from_empty_with_far_outliers() {
+        let mut emst = engine(&[]);
+        for p in random_points(4, 30) {
+            emst.insert(p);
         }
-        assert_eq!(single.tile_grid().tiles(), 1);
-        assert!(tiled.tile_grid().tiles() >= 9);
-        assert_matches_rebuild(&tiled);
-    }
-
-    /// Tiled engines start from nothing too (the deployment-server shape),
-    /// including edits that push points outside the original grid bounds
-    /// (clamped to the boundary tiles).
-    #[test]
-    fn tiled_engine_grows_from_empty_and_clamps_outliers() {
-        let seed = random_points(4, 30);
-        let grid = TileGrid::with_tiles_per_axis(&seed, 2).unwrap();
-        let mut tiled = DynamicEmst::from_entries(&[], 0, grid).unwrap();
-        assert_eq!(tiled.occupied_tiles(), 0);
-        let mut single = one_tile(&[]);
-        for p in &seed {
-            assert_eq!(single.insert(*p), tiled.insert(*p));
-        }
-        // Far outside the grid's bounding box on both sides.
         for p in [Point::new(-500.0, -500.0), Point::new(900.0, 900.0)] {
-            assert_eq!(single.insert(p), tiled.insert(p));
+            emst.insert(p);
+            assert_matches_rebuild(&emst);
         }
-        assert_eq!(edge_bits(&single), edge_bits(&tiled));
-        assert_matches_rebuild(&tiled);
+        let entries: Vec<(usize, Point)> = emst
+            .live_slots()
+            .into_iter()
+            .map(|s| (s, emst.point(s)))
+            .collect();
+        let bulk = DynamicEmst::from_entries(&entries, emst.slot_bound()).unwrap();
+        assert_eq!(edge_bits(&emst), edge_bits(&bulk));
     }
 
     /// A bulk build from a sparse live set lands on the tree the edit
     /// history left behind, and slots keep flowing from `next_slot`.
     #[test]
     fn bulk_build_from_sparse_slots_matches_the_lived_engine() {
-        let mut lived = one_tile(&random_points(60, 40));
+        let mut lived = engine(&random_points(60, 40));
         let mut rng = StdRng::seed_from_u64(41);
         for _ in 0..30 {
             let live = lived.live_slots();
@@ -979,8 +920,7 @@ mod tests {
             .into_iter()
             .map(|s| (s, lived.point(s)))
             .collect();
-        let mut rebuilt =
-            DynamicEmst::from_entries(&entries, lived.slot_bound(), TileGrid::single()).unwrap();
+        let mut rebuilt = DynamicEmst::from_entries(&entries, lived.slot_bound()).unwrap();
         assert_eq!(rebuilt.live_slots(), lived.live_slots());
         assert_eq!(edge_bits(&rebuilt), edge_bits(&lived));
         for s in rebuilt.live_slots() {
@@ -996,7 +936,7 @@ mod tests {
         // A long path: moving one interior vertex slightly must not touch
         // the far ends.
         let pts: Vec<Point> = (0..50).map(|i| Point::new(i as f64, 0.0)).collect();
-        let mut emst = one_tile(&pts);
+        let mut emst = engine(&pts);
         emst.move_to(25, Point::new(25.0, 0.1)).unwrap();
         assert_matches_rebuild(&emst);
         let changed = emst.changed_slots();

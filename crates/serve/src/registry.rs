@@ -38,7 +38,6 @@ use antennae_core::algorithms::AlgorithmKind;
 use antennae_core::antenna::AntennaBudget;
 use antennae_core::dynamic::{BatchOutcome, DynamicInstance, DynamicSolverSession, Edit, SensorId};
 use antennae_core::error::OrientError;
-use antennae_core::shard::ShardSpec;
 use antennae_core::verify::VerificationReport;
 use antennae_geometry::Point;
 use antennae_store::TenantWal;
@@ -138,11 +137,6 @@ pub struct Snapshot {
     pub incremental: bool,
     /// The last repaired verification verdict.
     pub report: VerificationReport,
-    /// The shard grid backing the tenant as `(tiles_x, tiles_y)`, `None`
-    /// when the tenant is unsharded (one tile).
-    pub shard_grid: Option<(usize, usize)>,
-    /// Occupied tiles at the last repair (`None` when unsharded).
-    pub shard_occupied: Option<usize>,
     /// Live `(id, position)` pairs, ascending by id.
     pub positions: Vec<(SensorId, Point)>,
 }
@@ -166,8 +160,6 @@ impl Snapshot {
             algorithm: session.algorithm(),
             incremental: session.is_incremental(),
             report: session.report().clone(),
-            shard_grid: inst.shard_grid(),
-            shard_occupied: inst.shard_occupied(),
             positions,
         }
     }
@@ -648,20 +640,18 @@ impl Registry {
             })
     }
 
-    /// Creates and registers an ephemeral deployment (no WAL, default
-    /// [`ShardSpec::Auto`] sharding).
+    /// Creates and registers an ephemeral deployment (no WAL).
     pub fn create(
         &self,
         name: &str,
         budget: AntennaBudget,
         points: &[Point],
     ) -> Result<Arc<Tenant>, ProtocolError> {
-        self.create_with_wal(name, budget, points, None, ShardSpec::default())
+        self.create_with_wal(name, budget, points, None)
     }
 
     /// Creates and registers a deployment, optionally with a durable write
-    /// handle, sharding its spatial substrate per `spec` (bit-exact to one
-    /// tile — a pure cost knob).  The initial solve runs
+    /// handle.  The initial solve runs
     /// *outside* the map's write lock; only the name reservation is
     /// serialized.  On any error the `wal` handle is dropped (closing its
     /// file cleanly); removing the tenant's directory is the caller's
@@ -672,7 +662,6 @@ impl Registry {
         budget: AntennaBudget,
         points: &[Point],
         wal: Option<TenantWal>,
-        spec: ShardSpec,
     ) -> Result<Arc<Tenant>, ProtocolError> {
         // Reserve the name first so a concurrent duplicate CREATE fails fast
         // instead of paying a redundant solve.
@@ -685,7 +674,7 @@ impl Registry {
                 ));
             }
         }
-        let inst = DynamicInstance::new_sharded(points, spec).map_err(|e| map_orient_error(&e))?;
+        let inst = DynamicInstance::new(points).map_err(|e| map_orient_error(&e))?;
         let session = DynamicSolverSession::new(inst, budget).map_err(|e| map_orient_error(&e))?;
         let tenant = Arc::new(Tenant::new(name.to_string(), session, wal));
         let mut tenants = self.tenants.write().expect("registry lock poisoned");

@@ -10,7 +10,6 @@
 use crate::protocol::{parse_request, EditOp, ErrorCode, Request, Response, MAX_CREATE_POINTS};
 use crate::registry::{process_ms, storage_error, Registry, Tenant};
 use antennae_core::antenna::AntennaBudget;
-use antennae_core::shard::ShardSpec;
 use antennae_core::solver::Registry as AlgorithmRegistry;
 use antennae_geometry::Point;
 use antennae_store::{Store, WalTail};
@@ -91,9 +90,6 @@ pub struct Service {
     /// When set, caps each tenant's buffered-edit queue: `EDIT` beyond the
     /// cap is rejected with `overloaded` until a repair drains the buffer.
     tenant_quota: Option<usize>,
-    /// Spatial-sharding policy applied to every tenant at creation
-    /// (bit-exact to the one-tile index; a pure cost knob).
-    shard_spec: ShardSpec,
 }
 
 impl Service {
@@ -106,15 +102,12 @@ impl Service {
     /// directory is recovered into a live session (one bulk build of the
     /// snapshot + one coalesced replay of the salvaged WAL tail each) and
     /// re-registered, and every subsequent `CREATE`/`EDIT`/`DROP` is logged.
-    /// Recovered and created tenants alike shard per the store's
-    /// [`StoreConfig::shards`](antennae_store::StoreConfig::shards).
     /// Structurally broken tenant directories are skipped (reported in the
     /// [`RecoveryReport`]), torn log tails are truncated — boot never
     /// panics on bad bytes.
     pub fn open_durable(store: Store) -> std::io::Result<(Self, RecoveryReport)> {
         let recovery = store.recover()?;
         let service = Service {
-            shard_spec: store.config().shards,
             store: Some(store),
             ..Service::default()
         };
@@ -159,20 +152,6 @@ impl Service {
     /// The configured per-tenant pending-edit quota, if any.
     pub fn tenant_quota(&self) -> Option<usize> {
         self.tenant_quota
-    }
-
-    /// Sets the sharding policy — the tile grid of the spatial index — for
-    /// tenants created from now on (the `--shards auto|N|off` flag); their
-    /// MST is the global build either way.  Set before the service is
-    /// shared; a durable service takes it from its store's configuration,
-    /// which recovery builds with too.
-    pub fn set_shard_spec(&mut self, spec: ShardSpec) {
-        self.shard_spec = spec;
-    }
-
-    /// The sharding policy applied at tenant creation.
-    pub fn shard_spec(&self) -> ShardSpec {
-        self.shard_spec
     }
 
     /// A fresh per-connection state: already authenticated when no token is
@@ -315,9 +294,7 @@ impl Service {
         }
         let pts: Vec<Point> = points.iter().map(|&(x, y)| Point::new(x, y)).collect();
         let created = match &self.store {
-            None => self
-                .registry
-                .create_with_wal(name, budget, &pts, None, self.shard_spec),
+            None => self.registry.create_with_wal(name, budget, &pts, None),
             Some(store) => {
                 // Fail duplicates fast before touching the disk; the
                 // registry re-checks under its write lock, so a race still
@@ -338,7 +315,7 @@ impl Service {
                         Err(e) => Err(storage_error("create tenant directory", &e)),
                         Ok(wal) => self
                             .registry
-                            .create_with_wal(name, budget, &pts, Some(wal), self.shard_spec)
+                            .create_with_wal(name, budget, &pts, Some(wal))
                             .inspect_err(|_| {
                                 // The solve or the name race failed after the
                                 // directory was written: remove it so the bad
@@ -596,16 +573,12 @@ impl Service {
                     0 => "none".to_string(),
                     stored => process_ms().saturating_sub(stored - 1).to_string(),
                 };
-                let shards = match snap.shard_grid {
-                    Some((x, y)) => format!("{x}x{y}"),
-                    None => "off".to_string(),
-                };
                 Response::ok(format!(
                     "stats {name} n={} pending={} revision={} edits_buffered={} \
                      edits_applied={} batches={} max_batch={} rows_recomputed={} \
                      mst_changed={} queries={} errors={} durable={} wal_records={} \
                      wal_bytes={} snapshots={} last_snapshot_age_ms={} \
-                     quota_rejections={} degraded={} shards={shards} shard_occupied={}",
+                     quota_rejections={} degraded={}",
                     snap.n,
                     tenant.pending(),
                     snap.revision,
@@ -624,7 +597,6 @@ impl Service {
                     last_snapshot,
                     s.quota_rejections.load(Ordering::Relaxed),
                     tenant.is_degraded(),
-                    snap.shard_occupied.unwrap_or(0),
                 ))
             }),
         }

@@ -98,8 +98,6 @@ fn stats_field_lists_are_pinned() {
             "last_snapshot_age_ms",
             "quota_rejections",
             "degraded",
-            "shards",
-            "shard_occupied",
         ],
         "per-tenant STATS fields drifted: {tenant:?}"
     );

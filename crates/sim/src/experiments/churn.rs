@@ -223,13 +223,8 @@ impl fmt::Display for ChurnReport {
 
 /// Translates a trace event into a session edit against the current live
 /// population.  Returns `None` for events that must be skipped (failures at
-/// the 2-sensor population floor).  Shared with the sharded-vs-global
-/// comparison ([`crate::experiments::shard_churn`]).
-pub(crate) fn resolve_edit(
-    session: &DynamicSolverSession,
-    event: &ChurnEvent,
-    side: f64,
-) -> Option<Edit> {
+/// the 2-sensor population floor).
+fn resolve_edit(session: &DynamicSolverSession, event: &ChurnEvent, side: f64) -> Option<Edit> {
     match event.op {
         ChurnOp::Arrive(p) => Some(Edit::Insert(p)),
         ChurnOp::Fail { pick } => {

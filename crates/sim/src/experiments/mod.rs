@@ -11,7 +11,6 @@
 //! | [`energy_compare`] | §1 motivation | energy & interference of each scheme vs. an omnidirectional deployment |
 //! | [`c_connectivity`] | §5 open problem | fault tolerance (strong c-connectivity) of the produced orientations |
 //! | [`churn`] | §1 ad-hoc-network motivation | incremental re-orientation latency & radius drift under arrival/failure/mobility churn |
-//! | [`shard_churn`] | §1 ad-hoc-network motivation | sharded vs. global dynamic engines on identical churn traces: per-edit latency plus bit-identity |
 //!
 //! Every driver has a `*Config` with `quick()` (seconds, used in tests) and
 //! `full()` (the defaults of the report binaries) constructors, produces a
@@ -24,7 +23,6 @@ pub mod common;
 pub mod energy_compare;
 pub mod lemma1_polygon;
 pub mod mst_facts;
-pub mod shard_churn;
 pub mod table1;
 pub mod theorem3_cases;
 pub mod tradeoff;

@@ -27,15 +27,13 @@ use crate::snapshot::{read_snapshot, SnapshotReadOutcome, SnapshotState};
 use crate::vfs::{RealVfs, Vfs};
 use crate::wal::{read_wal, SyncPolicy, WalRecord, WalTail, WalWriter};
 use antennae_core::dynamic::{DynamicSolverSession, Edit, SensorId};
-use antennae_core::shard::ShardSpec;
 use antennae_core::AntennaBudget;
 use antennae_geometry::Point;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Tuning for a [`Store`]: how hard the WAL syncs, when it compacts, and
-/// how the tenants it rebuilds are sharded.
+/// Tuning for a [`Store`]: how hard the WAL syncs and when it compacts.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreConfig {
     /// When appended records are fsynced (see [`SyncPolicy`]).
@@ -44,11 +42,6 @@ pub struct StoreConfig {
     pub compact_records: u64,
     /// Compact once the current log holds at least this many bytes.
     pub compact_bytes: u64,
-    /// The shard spec that tiles every tenant's spatial index — at
-    /// [`Store::recover`], and at `CREATE` on a durable service (the
-    /// orientd `--shards` flag).  The MST is built by the global engine
-    /// either way; the spec is bit-exact and only sets what edits cost.
-    pub shards: ShardSpec,
 }
 
 impl Default for StoreConfig {
@@ -57,7 +50,6 @@ impl Default for StoreConfig {
             sync: SyncPolicy::EveryN(32),
             compact_records: 1024,
             compact_bytes: 1 << 20,
-            shards: ShardSpec::default(),
         }
     }
 }
@@ -385,10 +377,9 @@ impl Store {
     }
 
     /// Walks every tenant directory and rebuilds each into a live session:
-    /// one bulk build of the snapshot (if any) sharded per
-    /// [`StoreConfig::shards`], then the salvaged current-epoch log tail
-    /// through **one** coalesced repair
-    /// ([`DynamicSolverSession::replay_sharded`]).  Torn/corrupt tails are
+    /// one bulk build of the snapshot (if any), then the salvaged
+    /// current-epoch log tail through **one** coalesced repair
+    /// ([`DynamicSolverSession::replay`]).  Torn/corrupt tails are
     /// truncated, stale-epoch logs and leftover `snapshot.tmp` files are
     /// swept, and unrecoverable tenants land in [`Recovery::skipped`]
     /// rather than failing the call.
@@ -489,9 +480,7 @@ impl Store {
         let salvaged_records = (tail.len() + usize::from(snapshot.is_none())) as u64;
 
         // 5. One bulk build plus one coalesced tail repair.
-        let replayed =
-            DynamicSolverSession::replay_sharded(budget, &base, next_id, &tail, self.config.shards);
-        let session = match replayed {
+        let session = match DynamicSolverSession::replay(budget, &base, next_id, &tail) {
             Ok(session) => session,
             Err(e) => return Ok(Err(format!("replay failed: {e}"))),
         };

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Bench smoke run: quick-mode passes of the headline criterion benches
 # (traversal, verification, dispatch_policy, dynamic, parallel, serve,
-# store, shard, mst_scaling), parsed into the next trajectory point — one
+# store, mst_scaling), parsed into the next trajectory point — one
 # past the highest committed BENCH_N.json — so every PR leaves a
 # machine-readable point on the bench trajectory.  `scripts/bench_gate.sh`
 # compares this output against the highest committed BENCH_N.json.
@@ -20,7 +20,7 @@ cd "$(dirname "$0")/.."
 QUICK_MS="${CRITERION_STUB_MS:-40}"
 LAST="$(git ls-files 'BENCH_*.json' | sed -n 's/^BENCH_\([0-9]*\)\.json$/\1/p' | sort -n | tail -n 1)"
 OUT="${1:-BENCH_$((${LAST:-0} + 1)).json}"
-BENCHES=(traversal verification dispatch_policy dynamic parallel serve store shard mst_scaling)
+BENCHES=(traversal verification dispatch_policy dynamic parallel serve store mst_scaling)
 
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT

@@ -6,7 +6,7 @@
 //! orientd [--listen ADDR | --port N] [--threads N] [--print-port]
 //!         [--data-dir DIR] [--sync always|every-n[=N]|never]
 //!         [--max-queue N] [--read-timeout-ms N] [--tenant-quota N]
-//!         [--auth-token-file PATH] [--shards auto|N|off]
+//!         [--auth-token-file PATH]
 //! ```
 //!
 //! * `--listen ADDR` — bind address, default `127.0.0.1:7011`; use port 0
@@ -33,18 +33,10 @@
 //!   until `ORIENT`/`VERIFY` drains.  `0` disables the quota.
 //! * `--auth-token-file PATH` — require `AUTH <token>` (the file's
 //!   trimmed contents) before any verb other than `PING`.
-//! * `--shards auto|N|off` — spatial sharding for every deployment
-//!   (created or recovered), default `auto`: large deployments get a
-//!   per-tile kd forest as their spatial index, so one edit queries and
-//!   rebuilds ~10³-point tiles.  `N` forces an N×N tile grid (at most
-//!   `⌊√n⌋` per axis for `n` sensors), `off` keeps every deployment on one
-//!   tile.  The MST is always built by the one global engine, so the flag
-//!   is bit-exact either way and only changes what edits cost.
 //!
 //! Unknown or malformed flags exit with status 2 and print the usage line
 //! to stderr.  The process exits cleanly after a `SHUTDOWN` request.
 
-use antennae::core::shard::ShardSpec;
 use antennae::serve::{Server, ServerConfig, Service};
 use antennae::store::{Store, StoreConfig, SyncPolicy};
 use std::process::ExitCode;
@@ -53,8 +45,7 @@ use std::time::Duration;
 
 const USAGE: &str = "usage: orientd [--listen ADDR | --port N] [--threads N] [--print-port] \
                      [--data-dir DIR] [--sync always|every-n[=N]|never] [--max-queue N] \
-                     [--read-timeout-ms N] [--tenant-quota N] [--auth-token-file PATH] \
-                     [--shards auto|N|off]";
+                     [--read-timeout-ms N] [--tenant-quota N] [--auth-token-file PATH]";
 
 #[derive(Debug)]
 struct Args {
@@ -70,8 +61,6 @@ struct Args {
     /// Per-tenant pending-edit cap (`None` = unbounded).
     tenant_quota: Option<usize>,
     auth_token_file: Option<std::path::PathBuf>,
-    /// Spatial-sharding policy for every deployment.
-    shards: ShardSpec,
 }
 
 fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
@@ -85,7 +74,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
         read_timeout: Some(Duration::from_millis(30_000)),
         tenant_quota: Some(65_536),
         auth_token_file: None,
-        shards: ShardSpec::default(),
     };
     let mut argv = argv.peekable();
     while let Some(flag) = argv.next() {
@@ -131,10 +119,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 Some(path) if !path.is_empty() => args.auth_token_file = Some(path.into()),
                 _ => return Err("--auth-token-file needs a file path".into()),
             },
-            "--shards" => match argv.next() {
-                Some(value) => args.shards = ShardSpec::parse(&value)?,
-                None => return Err("--shards takes auto, off or a tile count ≥ 2".into()),
-            },
             "--print-port" => args.print_port = true,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag {other:?}")),
@@ -166,7 +150,6 @@ fn main() -> ExitCode {
         Some(dir) => {
             let config = StoreConfig {
                 sync: args.sync.unwrap_or_default(),
-                shards: args.shards,
                 ..StoreConfig::default()
             };
             let store = match Store::open(dir, config) {
@@ -217,7 +200,6 @@ fn main() -> ExitCode {
         eprintln!("orientd: AUTH required (token from {})", path.display());
     }
     service.set_tenant_quota(args.tenant_quota);
-    service.set_shard_spec(args.shards);
     let service = Arc::new(service);
 
     let server_config = ServerConfig {
@@ -293,14 +275,11 @@ mod tests {
             "100",
             "--auth-token-file",
             "/tmp/token",
-            "--shards",
-            "8",
         ])
         .unwrap();
         assert_eq!(args.max_queue, Some(16));
         assert_eq!(args.read_timeout, Some(Duration::from_millis(250)));
         assert_eq!(args.tenant_quota, Some(100));
-        assert_eq!(args.shards, ShardSpec::Grid(8));
         assert_eq!(
             args.auth_token_file.as_deref(),
             Some(std::path::Path::new("/tmp/token"))
@@ -312,14 +291,11 @@ mod tests {
             "0",
             "--tenant-quota",
             "0",
-            "--shards",
-            "off",
         ])
         .unwrap();
         assert_eq!(off.max_queue, None);
         assert_eq!(off.read_timeout, None);
         assert_eq!(off.tenant_quota, None);
-        assert_eq!(off.shards, ShardSpec::Off);
 
         let defaults = parse(&[]).unwrap();
         assert!(defaults.data_dir.is_none());
@@ -327,7 +303,6 @@ mod tests {
         assert_eq!(defaults.read_timeout, Some(Duration::from_millis(30_000)));
         assert_eq!(defaults.tenant_quota, Some(65_536));
         assert!(defaults.auth_token_file.is_none());
-        assert_eq!(defaults.shards, ShardSpec::Auto);
         assert_eq!(parse(&["--help"]).unwrap_err(), "");
         for bad in [
             &["--frobnicate"][..],
@@ -343,9 +318,6 @@ mod tests {
             &["--read-timeout-ms", "-1"],
             &["--tenant-quota", "many"],
             &["--auth-token-file"],
-            &["--shards"],
-            &["--shards", "1"],
-            &["--shards", "sideways"],
         ] {
             let err = parse(bad).unwrap_err();
             assert!(!err.is_empty(), "{bad:?} should be a hard flag error");

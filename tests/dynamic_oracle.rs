@@ -21,14 +21,13 @@
 //! fuzz random scripts over snapped (tie-heavy) and continuous geometry.
 //! The replay suite at the end pins crash recovery (one bulk build plus one
 //! coalesced tail) against the lived session, on continuous, lattice and
-//! sharded-size deployments.
+//! large (4,196-sensor) deployments.
 //! `scripts/verify.sh` runs this suite under the pinned `PROPTEST_CASES`
 //! budget.
 
 use antennae::core::antenna::AntennaBudget;
 use antennae::core::bounds::theorem2_spread_threshold;
 use antennae::core::dynamic::{DynamicInstance, DynamicSolverSession, Edit};
-use antennae::core::shard::AUTO_SHARD_MIN_POINTS;
 use antennae::core::verify::verify_with_budget;
 use antennae::graph::euclidean::{MstEngine, MAX_MST_DEGREE};
 use antennae::graph::UnionFind;
@@ -602,17 +601,13 @@ fn replay_matches_on_duplicate_free_lattice_scripts() {
 }
 
 #[test]
-fn replay_of_a_sharded_size_tenant_recovers_onto_a_grid_index() {
-    // Above AUTO_SHARD_MIN_POINTS the replay's default spec resolves to a
-    // grid, so the recovered session edits through a tiled index while the
-    // lived session runs on one tile; both bulk builds are the global
-    // engine, and the replay must stay bit-equal to the lived history.
-    let n = AUTO_SHARD_MIN_POINTS + 100;
+fn replay_of_a_large_tenant_matches_the_lived_session() {
+    // A tenant large enough that its index holds up to 128 dirty entries
+    // between snapshot rebuilds: the replay must stay bit-equal to the
+    // lived history.
+    let n = 4196;
     let points = PointSetGenerator::UniformSquare { n, side: 64.0 }.generate(17);
     let budget = AntennaBudget::new(2, theorem2_spread_threshold(2));
-    let base: Vec<(usize, Point)> = points.iter().copied().enumerate().collect();
-    let replayed = DynamicSolverSession::replay(budget, &base, n, &[]).unwrap();
-    assert!(replayed.instance().shard_grid().is_some());
     let steps: Vec<Step> = mixed_script(23)
         .into_iter()
         .map(|step| match step {
