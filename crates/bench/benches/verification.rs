@@ -1,15 +1,17 @@
-//! Benchmarks of the verification pipeline: dense vs kd-tree induced-digraph
-//! construction, session reuse, batch fan-out, and the SCC back end.
+//! Benchmarks of the verification pipeline: the dense pairwise reference
+//! against the kd-tree engine, the engine on an instance whose index is
+//! already cached, a verified Portfolio solve, and the SCC back end.
 //!
-//! `verify_scheme/{dense,kdtree}/n` is the crossover experiment recorded in
-//! `docs/ARCHITECTURE.md` (§ Verification engine); `verify_batch` measures
-//! the parallel many-schemes path against a sequential loop.
+//! `verify_scheme/{dense,kdtree}/n` is the reference-against-engine table
+//! recorded in `docs/ARCHITECTURE.md` (§ Verification engine);
+//! `verify_scheme/cached/n` is the second verify of the same `Instance`,
+//! which skips the index build.
 
 use antennae_bench::workloads::uniform_instance;
 use antennae_core::antenna::AntennaBudget;
 use antennae_core::scheme::OrientationScheme;
 use antennae_core::solver::{SelectionPolicy, Solver};
-use antennae_core::verify::{DigraphStrategy, VerificationEngine};
+use antennae_core::verify::{report_from_digraph, VerificationEngine};
 use antennae_geometry::PI;
 use antennae_graph::scc::{kosaraju_scc, tarjan_scc};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -32,89 +34,56 @@ fn bench_verify(c: &mut Criterion) {
         // opted into explicitly (see mst_scaling's full-mode note).
         sizes.push(1_000_000);
     }
+    let engine = VerificationEngine::new();
     for &n in &sizes {
         let instance = uniform_instance(n, 3);
         let scheme = scheme_for(&instance);
-        for (label, strategy) in [
-            ("dense", DigraphStrategy::Dense),
-            ("kdtree", DigraphStrategy::KdTree),
-        ] {
-            // The dense path is Θ(n²·k): past the crossover study's sizes it
-            // only burns time, so the large configurations are kd-only.
-            if strategy == DigraphStrategy::Dense && n > 4000 {
-                continue;
-            }
-            let engine = VerificationEngine::new().with_strategy(strategy);
-            group.bench_with_input(
-                BenchmarkId::new(label, n),
-                &(&instance, &scheme),
-                |b, (inst, sch)| b.iter(|| engine.verify(black_box(inst), black_box(sch))),
-            );
+        let points = instance.points();
+        // The reference is Θ(n²·k): past the table's sizes it only burns
+        // time, so the large configurations are engine-only.
+        if n <= 4000 {
+            group.bench_with_input(BenchmarkId::new("dense", n), &scheme, |b, sch| {
+                b.iter(|| {
+                    let digraph = black_box(sch).induced_digraph(black_box(points));
+                    report_from_digraph(&instance, sch, None, &digraph)
+                })
+            });
         }
-        // Session: the kd-tree is prebuilt once and amortised — the
-        // per-scheme marginal cost the Portfolio/batch paths pay.
-        let session = VerificationEngine::new()
-            .with_strategy(DigraphStrategy::KdTree)
-            .session(&instance);
-        group.bench_with_input(BenchmarkId::new("session", n), &scheme, |b, sch| {
-            b.iter(|| session.verify(black_box(sch)))
+        // The engine from a cold start: index build, row scan, report.
+        group.bench_with_input(BenchmarkId::new("kdtree", n), &scheme, |b, sch| {
+            b.iter(|| {
+                let digraph = engine.induced_digraph(black_box(points), black_box(sch));
+                report_from_digraph(&instance, sch, None, &digraph)
+            })
+        });
+        // The engine on the instance's cached index: the per-scheme marginal
+        // cost every later verification of the same instance pays.
+        engine.verify(&instance, &scheme);
+        group.bench_with_input(BenchmarkId::new("cached", n), &scheme, |b, sch| {
+            b.iter(|| engine.verify(black_box(&instance), black_box(sch)))
         });
     }
-    group.finish();
-}
-
-fn bench_verify_batch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("verify_batch");
-    let instance = uniform_instance(2000, 3);
-    // The Portfolio case: every applicable k=2 construction's scheme for one
-    // instance.
-    let portfolio = Solver::on(&instance)
-        .with_budget(AntennaBudget::new(2, PI))
-        .policy(SelectionPolicy::Portfolio)
-        .run()
-        .unwrap();
-    let schemes: Vec<&OrientationScheme> = portfolio
-        .candidates
-        .iter()
-        .map(|c| c.scheme.as_ref().unwrap())
-        .collect();
-    let session_seq = VerificationEngine::new().with_threads(1).session(&instance);
-    group.bench_function("sequential", |b| {
-        b.iter(|| {
-            schemes
-                .iter()
-                .map(|s| session_seq.verify(black_box(s)))
-                .collect::<Vec<_>>()
-        })
-    });
-    let session_par = VerificationEngine::new().session(&instance);
-    group.bench_function("parallel", |b| {
-        b.iter(|| session_par.verify_schemes(black_box(&schemes), None))
-    });
     group.finish();
 }
 
 fn bench_portfolio_end_to_end(c: &mut Criterion) {
-    // The PR 2 pain point: a Portfolio solve at n = 2000 with verification
-    // of every candidate, dense vs engine-backed.
+    // A Portfolio solve at n = 2000 with verification of every candidate.
+    // Each iteration runs on a clone of an instance whose rooted tree is
+    // warm and whose spatial index is cold, so the index build is measured,
+    // as it is for the first verified solve of any instance.
     let mut group = c.benchmark_group("portfolio_verified");
     let instance = uniform_instance(2000, 3);
-    for (label, strategy) in [
-        ("dense", DigraphStrategy::Dense),
-        ("auto", DigraphStrategy::Auto),
-    ] {
-        let engine = VerificationEngine::new().with_strategy(strategy);
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                Solver::on(black_box(&instance))
-                    .with_budget(AntennaBudget::new(2, PI))
-                    .policy(SelectionPolicy::Portfolio)
-                    .engine(engine)
-                    .run_verified()
-                    .unwrap()
-            })
-        });
-    }
+    instance.rooted_tree();
+    group.bench_function("engine", |b| {
+        b.iter(|| {
+            let fresh = black_box(&instance).clone();
+            Solver::on(&fresh)
+                .with_budget(AntennaBudget::new(2, PI))
+                .policy(SelectionPolicy::Portfolio)
+                .run_verified()
+                .unwrap()
+        })
+    });
     group.finish();
 }
 
@@ -131,7 +100,6 @@ fn bench_scc_algorithms(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_verify,
-    bench_verify_batch,
     bench_portfolio_end_to_end,
     bench_scc_algorithms
 );

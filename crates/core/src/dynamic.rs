@@ -24,7 +24,9 @@
 //!   neighborhood changed; the induced digraph is repaired row-wise (dirty
 //!   rows = re-oriented sensors plus every sensor whose coverage ball
 //!   contains an edited location, found through the shared spatial index);
-//!   strong connectivity is then re-checked on the repaired CSR.
+//!   strong connectivity is then re-checked on the repaired rows.  Row
+//!   repair, verdict and connectivity check run the static verifier's own
+//!   row filter, assignment fold and Tarjan kernel (see [`mod@crate::verify`]).
 //!
 //! The correctness story mirrors the earlier engines: the dynamic path is a
 //! *different route to the same values*.  After every edit, the maintained
@@ -38,16 +40,16 @@
 use crate::algorithms::lemma1::orient_node;
 use crate::algorithms::AlgorithmKind;
 use crate::antenna::{AntennaBudget, SensorAssignment};
-use crate::bounds::{radius_over_lmax, SPREAD_EPS};
 use crate::error::OrientError;
 use crate::instance::Instance;
 use crate::scheme::OrientationScheme;
 use crate::shard::ShardSpec;
 use crate::solver::{Orienter, SelectionPolicy, Solver, Theorem2Orienter};
-use crate::verify::{VerificationReport, Violation};
+use crate::verify::{append_covered_row, AssignmentFold, VerificationReport};
 use antennae_geometry::{Point, EPS};
 use antennae_graph::dynamic::{DynamicEmst, DynamicEmstError};
 use antennae_graph::euclidean::EmstError;
+use antennae_graph::scc::SccSummary;
 use antennae_graph::{DiGraph, TraversalScratch};
 use std::collections::HashSet;
 
@@ -263,8 +265,7 @@ impl DynamicInstance {
                 .emst
                 .materialize()
                 .map_err(|e| OrientError::MstConstruction(e.to_string()))?;
-            let points = mst.points().to_vec();
-            self.cache = Some(Instance::from_prebuilt(points, mst));
+            self.cache = Some(Instance::from_prebuilt(mst));
         }
         Ok(self.cache.as_ref().expect("cache was just filled"))
     }
@@ -379,8 +380,6 @@ pub struct DynamicSolverSession {
     assignments: Vec<SensorAssignment>,
     /// Per-id induced-digraph rows, targets in id space, ascending.
     rows: Vec<Vec<u32>>,
-    /// Largest antenna radius across all live assignments.
-    max_radius: f64,
     /// Dense scheme mirror of `assignments`, rebuilt lazily on access (the
     /// verdict no longer needs it — see `dense_dirty`).
     scheme: OrientationScheme,
@@ -409,19 +408,17 @@ impl DynamicSolverSession {
             algorithm: AlgorithmKind::Theorem2,
             assignments: Vec::new(),
             rows: Vec::new(),
-            max_radius: 0.0,
             scheme: OrientationScheme::empty(0),
             digraph: DiGraph::from_edges(0, &[]),
-            report: VerificationReport {
-                is_strongly_connected: true,
-                scc_count: 0,
-                edge_count: 0,
-                max_radius: 0.0,
-                max_radius_over_lmax: 0.0,
-                max_spread_sum: 0.0,
-                max_antenna_count: 0,
-                violations: Vec::new(),
-            },
+            report: AssignmentFold::default().into_report(
+                0,
+                0.0,
+                0,
+                SccSummary {
+                    count: 0,
+                    largest: 0,
+                },
+            ),
             dense_dirty: false,
             scratch: Vec::new(),
             row_buf: Vec::new(),
@@ -430,7 +427,7 @@ impl DynamicSolverSession {
         session.reorient_full()?;
         let all: Vec<SensorId> = session.inst.ids();
         session.recompute_rows(&all);
-        session.refresh_verdict()?;
+        session.refresh_verdict();
         Ok(session)
     }
 
@@ -554,15 +551,17 @@ impl DynamicSolverSession {
     /// per-vertex orientation depends only on the final MST neighborhood, and
     /// a row can differ from its pre-batch value only when its sensor was
     /// re-oriented or some edited location lies inside its coverage ball —
-    /// both captured by the accumulated dirty set, with the reverse-radius
-    /// query widened to the larger of the pre- and post-batch max radius.
+    /// both captured by the accumulated dirty set.  A sensor that was not
+    /// re-oriented keeps its pre-batch assignment, so its coverage ball is
+    /// at most the pre-batch max radius (the previous verdict's) plus `EPS`:
+    /// that bounds the reverse-radius query, whatever the batch did to the
+    /// re-oriented sensors' radii.
     ///
     /// The whole batch is validated before any state changes, so an invalid
     /// edit (an unknown or dead id, or a non-finite location, anywhere in
     /// the burst) rejects the batch atomically.
     pub fn apply_coalesced(&mut self, edits: &[Edit]) -> Result<BatchOutcome, OrientError> {
         let inserted_ids = self.validate_edits(edits)?;
-        let old_max_radius = self.max_radius;
 
         // Apply every edit to the substrate, accumulating the union of the
         // per-edit changed neighborhoods and every edited location (the
@@ -606,7 +605,6 @@ impl DynamicSolverSession {
             for &slot in &changed {
                 self.assignments[slot] = self.orient_one(slot);
             }
-            self.refresh_max_radius();
             true
         } else {
             self.reorient_full()?;
@@ -616,7 +614,8 @@ impl DynamicSolverSession {
         // Repair the induced digraph: dirty rows are the re-oriented sensors
         // plus every sensor whose coverage ball contains an edited location.
         let dirty: Vec<SensorId> = if incremental_orientation {
-            let reverse_radius = self.max_radius.max(old_max_radius) + EPS;
+            // `report` still holds the pre-batch verdict.
+            let reverse_radius = self.report.max_radius + EPS;
             let mut dirty = changed;
             let mut hits = Vec::new();
             for p in &edited_positions {
@@ -636,7 +635,7 @@ impl DynamicSolverSession {
             self.inst.ids()
         };
         self.recompute_rows(&dirty);
-        self.refresh_verdict()?;
+        self.refresh_verdict();
 
         Ok(BatchOutcome {
             applied: edits.len(),
@@ -717,7 +716,6 @@ impl DynamicSolverSession {
         }
         if self.inst.is_empty() {
             // Nothing to orient; the empty deployment has the empty scheme.
-            self.max_radius = 0.0;
             return Ok(());
         }
         if self.incremental {
@@ -739,45 +737,30 @@ impl DynamicSolverSession {
                 self.assignments[id] = outcome.scheme.assignments[dense].clone();
             }
         }
-        self.refresh_max_radius();
         Ok(())
     }
 
-    fn refresh_max_radius(&mut self) {
-        let mut max_radius = 0.0f64;
-        for id in 0..self.inst.next_id() {
-            if self.inst.is_alive(id) {
-                max_radius = f64::max(max_radius, self.assignments[id].max_radius());
-            }
-        }
-        self.max_radius = max_radius;
-    }
-
-    /// Recomputes the induced-digraph rows of `ids` (live, id space): one
-    /// bounded range query against the shared spatial index, then the exact
-    /// sector filter — the same candidate-superset contract as the static
-    /// verification engine, so the assembled rows are bit-identical to a
-    /// from-scratch rebuild.
+    /// Recomputes the induced-digraph rows of `ids` (live, id space): the
+    /// static verification engine's row filter over one bounded range query
+    /// against the shared spatial index, so the assembled rows are
+    /// bit-identical to a from-scratch rebuild.
     fn recompute_rows(&mut self, ids: &[SensorId]) {
         self.grow_id_tables();
+        let emst = self.inst.emst();
         for &u in ids {
             debug_assert!(self.inst.is_alive(u));
-            let assignment = std::mem::take(&mut self.assignments[u]);
-            let apex = self.inst.emst().point(u);
-            self.inst.emst().within_radius_with(
-                &apex,
-                assignment.max_radius() + EPS,
-                &mut self.scratch,
-                &mut self.row_buf,
-            );
+            let apex = emst.point(u);
             let row = &mut self.rows[u];
             row.clear();
-            for &v in self.row_buf.iter() {
-                if v != u && assignment.covers(&apex, &self.inst.emst().point(v)) {
-                    row.push(v as u32);
-                }
-            }
-            self.assignments[u] = assignment;
+            append_covered_row(
+                u,
+                &apex,
+                &self.assignments[u],
+                |radius, out| emst.within_radius_with(&apex, radius, &mut self.scratch, out),
+                |v| emst.point(v),
+                &mut self.row_buf,
+                row,
+            );
         }
     }
 
@@ -786,20 +769,17 @@ impl DynamicSolverSession {
     /// dense digraph rebuild (those are all Θ(n) per edit and dominated the
     /// repair once the MST surgery became local).
     ///
-    /// The sparse computation is bit-equal to
-    /// [`crate::verify::verify_with_budget`] on the dense mirrors, field by
-    /// field, because each piece replicates the dense path exactly:
+    /// The verdict is bit-equal to [`crate::verify::verify_with_budget`] on
+    /// the dense mirrors because it runs the static verifier's own code:
     ///
-    /// - budget violations scan the live assignments in ascending id order —
-    ///   precisely the dense index order of the materialized scheme — with
-    ///   the same thresholds (`> budget.k`, `> budget.phi + SPREAD_EPS`);
-    ///   `MissingAssignments` cannot fire (the session assigns every live
-    ///   sensor by construction);
-    /// - the scheme maxima use the same fold shapes as
-    ///   [`OrientationScheme::max_radius`] / `max_spread_sum` (`f64::max`
-    ///   from `0.0`) and `max_antenna_count` (`usize::max`);
+    /// - the live assignments, in ascending id order — precisely the dense
+    ///   index order of the materialized scheme — go through the same
+    ///   assignment fold (budget violations with dense indices, the scheme
+    ///   maxima) and the same report constructor; `MissingAssignments`
+    ///   cannot fire (the session assigns every live sensor by
+    ///   construction);
     /// - component count and largest-component size come from the same
-    ///   masked Tarjan kernel run over the id-space rows
+    ///   Tarjan kernel run over the id-space rows
     ///   ([`TraversalScratch::scc_summary_rows`]); both are graph
     ///   invariants, independent of vertex labelling;
     /// - `edge_count` sums live row lengths = the dense digraph's edge
@@ -809,86 +789,33 @@ impl DynamicSolverSession {
     /// The dense mirrors are just **marked stale** here; accessors rebuild
     /// them on demand (see [`DynamicSolverSession::ensure_dense`]).
     ///
-    /// The empty deployment (zero live sensors) is **defined** to be valid:
-    /// empty scheme, empty digraph, a report with zero components and no
-    /// violations — strong connectivity holds vacuously.  There is no
-    /// materialized [`Instance`] to verify against in that state.
-    fn refresh_verdict(&mut self) -> Result<(), OrientError> {
-        let live = self.inst.len();
-        if live == 0 {
-            self.scheme = OrientationScheme::empty(0);
-            self.digraph = DiGraph::from_edges(0, &[]);
-            self.report = VerificationReport {
-                is_strongly_connected: true,
-                scc_count: 0,
-                edge_count: 0,
-                max_radius: 0.0,
-                max_radius_over_lmax: 0.0,
-                max_spread_sum: 0.0,
-                max_antenna_count: 0,
-                violations: Vec::new(),
-            };
-            self.dense_dirty = false;
-            return Ok(());
-        }
-
-        let mut violations = Vec::new();
-        let mut max_radius = 0.0f64;
-        let mut max_spread_sum = 0.0f64;
-        let mut max_antenna_count = 0usize;
+    /// The empty deployment (zero live sensors) needs no special case: the
+    /// fold and the kernel see nothing, and the constructor gives it the
+    /// report with zero components and no violations — strong connectivity
+    /// holds vacuously.
+    fn refresh_verdict(&mut self) {
+        let mut fold = AssignmentFold::default();
         let mut edge_count = 0usize;
         let mut dense = 0usize;
         for id in 0..self.inst.next_id() {
             if !self.inst.is_alive(id) {
                 continue;
             }
-            let assignment = &self.assignments[id];
-            if assignment.antenna_count() > self.budget.k {
-                violations.push(Violation::TooManyAntennas {
-                    sensor: dense,
-                    used: assignment.antenna_count(),
-                    allowed: self.budget.k,
-                });
-            }
-            if assignment.total_spread() > self.budget.phi + SPREAD_EPS {
-                violations.push(Violation::SpreadExceeded {
-                    sensor: dense,
-                    used: assignment.total_spread(),
-                    allowed: self.budget.phi,
-                });
-            }
-            max_radius = f64::max(max_radius, assignment.max_radius());
-            max_spread_sum = f64::max(max_spread_sum, assignment.total_spread());
-            max_antenna_count = max_antenna_count.max(assignment.antenna_count());
+            fold.push(dense, &self.assignments[id], Some(self.budget));
             edge_count += self.rows[id].len();
             dense += 1;
         }
-        debug_assert_eq!(dense, live, "live scan disagrees with live count");
-
+        debug_assert_eq!(
+            dense,
+            self.inst.len(),
+            "live scan disagrees with live count"
+        );
         let inst = &self.inst;
         let summary = self
             .scc_scratch
             .scc_summary_rows(&self.rows, |v| inst.is_alive(v));
-        let strongly_connected = live <= 1 || summary.count == 1;
-        if !strongly_connected {
-            violations.push(Violation::NotStronglyConnected {
-                components: summary.count,
-                largest_component: summary.largest,
-            });
-        }
-
-        self.report = VerificationReport {
-            is_strongly_connected: strongly_connected,
-            scc_count: summary.count,
-            edge_count,
-            max_radius,
-            max_radius_over_lmax: radius_over_lmax(max_radius, self.inst.lmax()),
-            max_spread_sum,
-            max_antenna_count,
-            violations,
-        };
+        self.report = fold.into_report(dense, self.inst.lmax(), edge_count, summary);
         self.dense_dirty = true;
-        Ok(())
     }
 
     /// Rebuilds the dense scheme + digraph mirrors from the id-space state
@@ -921,7 +848,7 @@ impl DynamicSolverSession {
 mod tests {
     use super::*;
     use crate::bounds::theorem2_spread_threshold;
-    use crate::verify::{verify_with_budget, DigraphStrategy, VerificationEngine};
+    use crate::verify::{report_from_digraph, verify_with_budget};
     use antennae_geometry::PI;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -941,10 +868,13 @@ mod tests {
         let digraph = session.digraph().clone();
         let report = session.report().clone();
         let instance = session.materialized().unwrap().clone();
-        let dense = VerificationEngine::new()
-            .with_strategy(DigraphStrategy::Dense)
-            .induced_digraph(instance.points(), &scheme);
-        assert_eq!(digraph, dense, "digraph diverged from static rebuild");
+        let dense = scheme.induced_digraph(instance.points());
+        assert_eq!(digraph, dense, "digraph diverged from the dense reference");
+        let reference = report_from_digraph(&instance, &scheme, Some(budget), &dense);
+        assert_eq!(
+            report, reference,
+            "report diverged from the dense reference"
+        );
         let fresh = verify_with_budget(&instance, &scheme, Some(budget));
         assert_eq!(report, fresh, "report diverged from static verify");
         if session.is_incremental() {
@@ -1010,6 +940,34 @@ mod tests {
             outcome.rows_recomputed
         );
         assert!(outcome.report.is_valid());
+        assert_matches_static(&mut session);
+    }
+
+    #[test]
+    fn removing_a_long_bridge_repairs_only_the_rows_near_it() {
+        // Two clusters 8.2 apart joined by one bridge sensor.  Removing the
+        // bridge adds an 8.2-long tree edge, but only sensors whose pre-edit
+        // coverage ball (at most the old ~4.1 max radius) reaches the
+        // bridge's location can see their rows change.
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut points: Vec<Point> = (0..200)
+            .map(|_| Point::new(rng.random_range(0.0..0.9), rng.random_range(0.0..0.9)))
+            .collect();
+        points.extend(
+            (0..200).map(|_| Point::new(rng.random_range(9.1..10.0), rng.random_range(0.0..0.9))),
+        );
+        points.push(Point::new(5.0, 0.45));
+        let bridge = points.len() - 1;
+        let budget = AntennaBudget::new(2, theorem2_spread_threshold(2));
+        let inst = DynamicInstance::new(&points).unwrap();
+        let mut session = DynamicSolverSession::new(inst, budget).unwrap();
+        let outcome = session.apply(Edit::Remove(bridge)).unwrap();
+        assert!(outcome.report.is_valid(), "{:?}", outcome.report);
+        assert!(
+            outcome.rows_recomputed <= 8,
+            "rows_recomputed = {} is not local",
+            outcome.rows_recomputed
+        );
         assert_matches_static(&mut session);
     }
 

@@ -2,7 +2,7 @@
 //! Euclidean MST substrate.
 
 use crate::error::OrientError;
-use antennae_geometry::Point;
+use antennae_geometry::{KdIndex, Point};
 use antennae_graph::euclidean::EuclideanMst;
 use antennae_graph::rooted::RootedTree;
 use serde::{Deserialize, Serialize};
@@ -15,18 +15,23 @@ use std::sync::OnceLock;
 /// compared against `lmax`, the paper's lower bound on any feasible range
 /// (`lmax = 1` after the paper's normalization).
 ///
-/// The rooted view of the MST is derived lazily and cached
-/// ([`Instance::rooted_tree`]): a Portfolio solve runs several tree-walking
-/// constructions against the same instance, and before the cache each of
-/// them re-rooted and re-sorted the same tree.
+/// The sensor locations are stored once, inside the MST substrate.  The
+/// rooted view of the MST ([`Instance::rooted_tree`]) and the spatial index
+/// the verifier queries ([`Instance::kd_index`]) are derived lazily and
+/// cached: a Portfolio solve runs several tree-walking constructions and
+/// verifies several schemes against the same instance, and each of them
+/// used to rebuild the same tree or index.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Instance {
-    points: Vec<Point>,
     mst: EuclideanMst,
     /// Lazily built rooted view of `mst` (not serialized: it is derived
     /// state, rebuilt on first use after deserialization).
     #[serde(skip)]
     rooted: OnceLock<RootedTree>,
+    /// Lazily built kd-tree over the sensor locations (derived state, like
+    /// `rooted`).
+    #[serde(skip)]
+    kd: OnceLock<KdIndex>,
 }
 
 impl Instance {
@@ -40,38 +45,34 @@ impl Instance {
         }
         let mst = EuclideanMst::build(&points)
             .map_err(|e| OrientError::MstConstruction(e.to_string()))?;
-        Ok(Instance {
-            points,
-            mst,
-            rooted: OnceLock::new(),
-        })
+        Ok(Instance::from_prebuilt(mst))
     }
 
     /// Wraps an already-built MST substrate without re-running an engine —
     /// the materialization hook of [`crate::dynamic::DynamicInstance`],
     /// whose incrementally maintained tree is handed over as-is.
-    pub(crate) fn from_prebuilt(points: Vec<Point>, mst: EuclideanMst) -> Self {
+    pub(crate) fn from_prebuilt(mst: EuclideanMst) -> Self {
         Instance {
-            points,
             mst,
             rooted: OnceLock::new(),
+            kd: OnceLock::new(),
         }
     }
 
     /// Number of sensors.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.mst.len()
     }
 
     /// Returns `true` when the instance has no sensors (never constructed by
     /// [`Instance::new`], but kept for API completeness).
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.mst.is_empty()
     }
 
-    /// Sensor locations.
+    /// Sensor locations (the MST substrate's own copy).
     pub fn points(&self) -> &[Point] {
-        &self.points
+        self.mst.points()
     }
 
     /// The degree-5 Euclidean MST substrate.
@@ -96,6 +97,17 @@ impl Instance {
         self.rooted.get_or_init(|| RootedTree::from_mst(&self.mst))
     }
 
+    /// A kd-tree index over [`Instance::points`], built on first call and
+    /// cached for the lifetime of the instance like
+    /// [`Instance::rooted_tree`].
+    ///
+    /// The verification engine answers its per-sensor range queries from
+    /// this index, so every scheme verified against one instance (the
+    /// Portfolio candidates, a budget grid) shares one build.
+    pub fn kd_index(&self) -> &KdIndex {
+        self.kd.get_or_init(|| KdIndex::build(self.points()))
+    }
+
     /// Returns a copy of the instance rescaled so that `lmax = 1`, matching
     /// the paper's normalization.  A single-sensor instance (where `lmax` is
     /// 0) is returned unchanged.
@@ -109,12 +121,7 @@ impl Instance {
         if lmax <= 0.0 {
             return Ok(self.clone());
         }
-        let mst = self.mst.rescaled(lmax);
-        Ok(Instance {
-            points: mst.points().to_vec(),
-            mst,
-            rooted: OnceLock::new(),
-        })
+        Ok(Instance::from_prebuilt(self.mst.rescaled(lmax)))
     }
 }
 
@@ -209,8 +216,6 @@ mod tests {
         original.sort_unstable();
         rescaled.sort_unstable();
         assert_eq!(original, rescaled);
-        // The instance's own points match the rescaled substrate's points.
-        assert_eq!(norm.points(), norm.mst().points());
     }
 
     #[test]
@@ -223,6 +228,18 @@ mod tests {
         let cloned = inst.clone();
         assert_eq!(cloned.rooted_tree().root(), inst.rooted_tree().root());
         assert_eq!(cloned.rooted_tree().len(), inst.rooted_tree().len());
+    }
+
+    #[test]
+    fn kd_index_is_cached_and_covers_every_point() {
+        let inst = Instance::new(square_points()).unwrap();
+        let first = inst.kd_index() as *const KdIndex;
+        assert_eq!(first, inst.kd_index() as *const KdIndex);
+        assert_eq!(inst.kd_index().len(), inst.len());
+        let all = inst
+            .kd_index()
+            .within_radius(inst.points(), &Point::new(1.0, 1.0), 2.0);
+        assert_eq!(all, vec![0, 1, 2, 3]);
     }
 
     #[test]

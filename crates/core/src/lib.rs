@@ -41,16 +41,16 @@
 //! portfolio that keeps the smallest *measured* radius — and
 //! [`verify::verify`] independently checks strong connectivity and the
 //! radius/spread budgets of any scheme.  Verification itself is served by
-//! the sub-quadratic [`verify::VerificationEngine`] (kd-tree range queries
-//! with a dense fallback, oracle-tested to be bit-identical to the pairwise
-//! construction); [`solver::Solver::run_verified`] and
-//! [`batch::BatchOrienter::orient_budgets_verified`] bundle solving with
-//! engine-backed verification, sharing one spatial index per instance.
+//! the sub-quadratic [`verify::VerificationEngine`] (kd-tree range queries,
+//! oracle-tested to be bit-identical to the pairwise reference
+//! construction); its spatial index is cached on the instance
+//! ([`instance::Instance::kd_index`]), so every scheme verified against one
+//! instance shares one build.  [`solver::Solver::run_verified`] bundles
+//! solving with verification of every candidate.
 //!
-//! For whole budget grids or fleets of deployments, [`batch::BatchOrienter`]
-//! and [`batch::InstanceBatch`] share MST substrates across every solve and
-//! fan the work out over the order-preserving
-//! [`antennae_parallel::parallel_map`].
+//! For whole budget grids, [`batch::BatchOrienter`] shares one MST
+//! substrate across every solve and fans the work out over the
+//! order-preserving [`antennae_parallel::parallel_map`].
 //!
 //! Deployments under churn go through [`dynamic::DynamicInstance`] and
 //! [`dynamic::DynamicSolverSession`]: insert/remove/move edits incrementally
@@ -76,7 +76,7 @@ pub mod solver;
 pub mod verify;
 
 pub use antenna::{Antenna, AntennaBudget, SensorAssignment};
-pub use batch::{BatchOrienter, InstanceBatch};
+pub use batch::BatchOrienter;
 pub use dynamic::{BatchOutcome, DynamicInstance, DynamicSolverSession, Edit, EditOutcome};
 pub use error::OrientError;
 pub use instance::Instance;
@@ -84,6 +84,4 @@ pub use scheme::OrientationScheme;
 pub use solver::{
     Guarantee, OrientationOutcome, Orienter, Registry, SelectionPolicy, Solver, VerifiedOutcome,
 };
-pub use verify::{
-    verify, DigraphStrategy, VerificationEngine, VerificationReport, VerificationSession,
-};
+pub use verify::{verify, VerificationEngine, VerificationReport};

@@ -71,14 +71,11 @@ impl OrientationScheme {
     /// `u → v` iff some antenna of sensor `u` covers the location of `v`.
     ///
     /// This is the *dense reference construction*: Θ(n² · k) pairwise sector
-    /// tests, visited in ascending index order.  It doubles as the oracle
-    /// the sub-quadratic [`crate::verify::VerificationEngine`] is
-    /// property-tested against — the engine's kd-tree path must reproduce
-    /// this construction bit-for-bit (same edges, same adjacency order).
-    /// Both paths emit the flat CSR arrays directly (no per-edge insertion,
-    /// no nested adjacency).  Callers on a hot path should go through the
-    /// engine, which picks the cheaper of the two constructions per
-    /// instance size.
+    /// tests, visited in ascending index order.  It is the oracle the
+    /// sub-quadratic [`crate::verify::VerificationEngine`] is
+    /// property-tested against — the engine's kd-tree construction must
+    /// reproduce it bit-for-bit (same edges, same adjacency order).  Callers
+    /// on a hot path should go through the engine.
     pub fn induced_digraph(&self, points: &[Point]) -> DiGraph {
         let n = points.len().min(self.assignments.len());
         DiGraph::from_adjacency(

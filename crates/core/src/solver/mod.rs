@@ -53,7 +53,7 @@ use crate::antenna::AntennaBudget;
 use crate::error::OrientError;
 use crate::instance::Instance;
 use crate::scheme::OrientationScheme;
-use crate::verify::{VerificationEngine, VerificationReport, VerificationSession};
+use crate::verify::{VerificationEngine, VerificationReport};
 use antennae_parallel::{default_threads, parallel_map};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
@@ -338,8 +338,9 @@ pub struct VerifiedOutcome {
     /// policies this is one entry (equal to
     /// [`VerifiedOutcome::report`]); under
     /// [`SelectionPolicy::Portfolio`] every candidate scheme is verified
-    /// through one shared [`crate::verify::VerificationSession`] — the
-    /// spatial index is built once per solve, not once per candidate.
+    /// against the instance's one cached spatial index
+    /// ([`Instance::kd_index`]) — built once per solve, not once per
+    /// candidate.
     pub candidate_reports: Vec<VerificationReport>,
 }
 
@@ -347,36 +348,6 @@ impl VerifiedOutcome {
     /// Returns `true` when the selected scheme passed verification.
     pub fn is_valid(&self) -> bool {
         self.report.is_valid()
-    }
-
-    /// Verifies every candidate of `outcome` through `session` (one shared
-    /// spatial index) under `budget`, and bundles the reports.
-    ///
-    /// This is the shared back half of [`Solver::run_verified`] and the
-    /// batch pipeline's
-    /// [`orient_budgets_verified`](crate::batch::BatchOrienter::orient_budgets_verified),
-    /// which reuses one session across a whole budget grid.
-    pub fn from_session(
-        outcome: OrientationOutcome,
-        session: &VerificationSession<'_>,
-        budget: Option<AntennaBudget>,
-    ) -> Self {
-        let schemes: Vec<&OrientationScheme> = outcome
-            .candidates
-            .iter()
-            .map(|c| c.scheme.as_ref().unwrap_or(&outcome.scheme))
-            .collect();
-        let candidate_reports = session.verify_schemes(&schemes, budget);
-        let selected = outcome
-            .candidates
-            .iter()
-            .position(|c| c.selected)
-            .expect("every outcome flags a selected candidate");
-        VerifiedOutcome {
-            report: candidate_reports[selected].clone(),
-            candidate_reports,
-            outcome,
-        }
     }
 }
 
@@ -393,7 +364,6 @@ pub struct Solver<'a> {
     policy: SelectionPolicy,
     registry: Arc<Registry>,
     threads: usize,
-    engine: VerificationEngine,
 }
 
 impl<'a> Solver<'a> {
@@ -406,7 +376,6 @@ impl<'a> Solver<'a> {
             policy: SelectionPolicy::default(),
             registry: Registry::shared_paper(),
             threads: default_threads(),
-            engine: VerificationEngine::new(),
         }
     }
 
@@ -443,30 +412,33 @@ impl<'a> Solver<'a> {
         self
     }
 
-    /// Replaces the verification engine [`Solver::run_verified`] uses (the
-    /// default is [`VerificationEngine::new`], i.e. the `Auto` strategy).
-    pub fn engine(mut self, engine: VerificationEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Runs the solve and independently verifies every produced scheme
-    /// through the configured [`VerificationEngine`].
+    /// through the [`VerificationEngine`].
     ///
-    /// All verifications of the solve share one
-    /// [`crate::verify::VerificationSession`], so the spatial index over the
-    /// instance is built at most once regardless of how many Portfolio
-    /// candidates there are.  The budget passed to the verifier is the
-    /// solve's own budget: a construction that overspends the budget it
-    /// declared applicable is reported, not silently accepted.
+    /// Candidates are verified concurrently over the solver's worker
+    /// threads, each rebuild sequential inside its worker.  They all query
+    /// the instance's cached spatial index ([`Instance::kd_index`]), so it
+    /// is built at most once regardless of how many Portfolio candidates
+    /// there are.  The budget passed to the verifier is the solve's own
+    /// budget: a construction that overspends the budget it declared
+    /// applicable is reported, not silently accepted.
     pub fn run_verified(&self) -> Result<VerifiedOutcome, OrientError> {
         let outcome = self.run()?;
-        let session = self.engine.session(self.instance);
-        Ok(VerifiedOutcome::from_session(
+        let engine = VerificationEngine::new().with_threads(1);
+        let candidate_reports = parallel_map(&outcome.candidates, self.threads, |candidate| {
+            let scheme = candidate.scheme.as_ref().unwrap_or(&outcome.scheme);
+            engine.verify_with_budget(self.instance, scheme, Some(self.budget))
+        });
+        let selected = outcome
+            .candidates
+            .iter()
+            .position(|c| c.selected)
+            .expect("every outcome flags a selected candidate");
+        Ok(VerifiedOutcome {
+            report: candidate_reports[selected].clone(),
+            candidate_reports,
             outcome,
-            &session,
-            Some(self.budget),
-        ))
+        })
     }
 
     /// Runs the solve.
@@ -938,8 +910,8 @@ mod tests {
             )
         );
 
-        // Portfolio: one report per candidate, aligned by index, all from a
-        // shared session.
+        // Portfolio: one report per candidate, aligned by index, all against
+        // the instance's one index.
         let verified = Solver::on(&instance)
             .budget(2, PI)
             .policy(SelectionPolicy::Portfolio)

@@ -12,34 +12,30 @@
 //!
 //! Rebuilding the induced digraph is the hot step.  The reference
 //! construction ([`OrientationScheme::induced_digraph`]) tests every ordered
-//! sensor pair — Θ(n²·k) sector checks — which dominated whole experiment
-//! runs once the MST side went sub-quadratic.  [`VerificationEngine`] offers
-//! a second, output-identical path: a kd-tree over the sensor locations
-//! answers one bounded range query per sensor (*which points lie within my
-//! longest antenna's range?*), and only those candidates are tested against
-//! the actual sectors — O(n log n + Σ candidates) instead of Θ(n²).
+//! sensor pair — Θ(n²·k) sector checks.  [`VerificationEngine`] instead asks
+//! a kd-tree over the sensor locations one bounded range query per sensor
+//! (*which points lie within my longest antenna's range?*) and tests only
+//! those candidates against the actual sectors — O(n log n + Σ candidates).
+//! The index is instance state ([`Instance::kd_index`]), built once and
+//! shared by every scheme verified against the instance.
 //!
-//! The two paths are bit-identical by construction (the range query is a
-//! superset filter under the same [`EPS`] tolerance the sector test uses,
-//! and candidates come back in the same ascending order the dense loop
-//! visits), and the oracle property suite in `tests/verification_oracle.rs`
-//! pins that equivalence across stochastic, extremal and degenerate point
-//! sets.  [`DigraphStrategy::Auto`] picks the dense path below
-//! [`KDTREE_VERIFY_CROSSOVER`] sensors, mirroring the MST engine's
-//! crossover design.
+//! The engine is bit-identical to the reference by construction (the range
+//! query is a superset filter under the same [`EPS`] tolerance the sector
+//! test uses, and candidates come back in the same ascending order the dense
+//! loop visits), and the oracle suite in `tests/verification_oracle.rs` pins
+//! that equivalence across stochastic, extremal and degenerate point sets.
 //!
-//! For many verifications of the *same* instance (the Portfolio policy, a
-//! batch budget grid), [`VerificationEngine::session`] builds the kd-tree
-//! once and reuses it; [`VerificationEngine::verify_batch`] and
-//! [`VerificationSession::verify_schemes`] fan independent verifications out
-//! over [`antennae_parallel::parallel_map`].
+//! The dynamic session ([`crate::dynamic::DynamicSolverSession`]) repairs
+//! its rows and refreshes its verdict on the same code: the row filter
+//! (`append_covered_row`), the per-assignment fold and report constructor
+//! (`AssignmentFold`) and the Tarjan kernel of [`antennae_graph::scc`].
 
-use crate::antenna::AntennaBudget;
+use crate::antenna::{AntennaBudget, SensorAssignment};
 use crate::bounds::{radius_over_lmax, SPREAD_EPS};
 use crate::instance::Instance;
 use crate::scheme::OrientationScheme;
-use antennae_geometry::{KdTree, Point, EPS};
-use antennae_graph::scc::scc_summary;
+use antennae_geometry::{KdIndex, Point, EPS};
+use antennae_graph::scc::{scc_summary, SccSummary};
 use antennae_graph::DiGraph;
 use antennae_parallel::{chunk_ranges, default_threads, parallel_map};
 use serde::{Deserialize, Serialize};
@@ -113,49 +109,18 @@ impl VerificationReport {
     }
 }
 
-/// How the verification engine rebuilds the induced digraph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum DigraphStrategy {
-    /// The Θ(n²·k) pairwise reference construction
-    /// ([`OrientationScheme::induced_digraph`]) — fastest for small
-    /// instances and the oracle the fast path is property-tested against.
-    Dense,
-    /// Per-sensor kd-tree range queries filtered by exact sector membership
-    /// — O(n log n + m)-class, output-identical to [`DigraphStrategy::Dense`].
-    KdTree,
-    /// [`DigraphStrategy::Dense`] below [`KDTREE_VERIFY_CROSSOVER`] sensors,
-    /// [`DigraphStrategy::KdTree`] at or above it.
-    #[default]
-    Auto,
-}
-
-/// Instance size at which [`DigraphStrategy::Auto`] switches from the dense
-/// pairwise construction to kd-tree range queries.
-///
-/// The `verification` bench measures the kd path already ahead at n = 16
-/// (6.7 µs vs 11.3 µs on container hardware) and 7×/114× ahead at
-/// n = 100/4000 for solver-produced schemes, whose sector radii are Θ(lmax)
-/// and keep candidate lists short.  The dense path is kept below this
-/// threshold anyway: on instances this small both paths cost single-digit
-/// microseconds, the dense oracle allocates nothing, and pathological
-/// all-covering schemes (every sector spanning the whole deployment) make
-/// the range queries pure overhead.
-pub const KDTREE_VERIFY_CROSSOVER: usize = 24;
-
 /// Minimum sensor count before a single digraph rebuild fans its per-sensor
 /// range queries out over worker threads (below this, thread-scope setup
 /// costs more than the queries).
 const PARALLEL_VERIFY_MIN: usize = 1024;
 
 /// Sub-quadratic verification engine: rebuilds induced digraphs through
-/// kd-tree range queries (with a dense fallback for small instances) and
-/// fans batches of independent verifications out over worker threads.
+/// kd-tree range queries, fanning large rebuilds out over worker threads.
 ///
-/// The engine is cheap to construct (two words of configuration); the
-/// expensive state — the kd-tree over one instance's sensors — lives in the
-/// [`VerificationSession`] returned by [`VerificationEngine::session`], so
-/// callers verifying many schemes against one instance build it exactly
-/// once.
+/// The engine is one word of configuration (the thread count); the
+/// expensive state — the kd-tree over one instance's sensors — is cached on
+/// the [`Instance`] itself ([`Instance::kd_index`]), so verifying many
+/// schemes against one instance builds it exactly once.
 ///
 /// # Examples
 ///
@@ -176,18 +141,17 @@ const PARALLEL_VERIFY_MIN: usize = 1024;
 ///     .policy(SelectionPolicy::Portfolio)
 ///     .run()?;
 ///
-/// // One session: the spatial index is built once, then every candidate
-/// // scheme of the portfolio is verified against it.
-/// let session = VerificationEngine::new().session(&instance);
+/// // The spatial index is built on the first verify and reused by every
+/// // later one against the same instance.
+/// let engine = VerificationEngine::new();
 /// for candidate in &outcome.candidates {
 ///     let scheme = candidate.scheme.as_ref().expect("portfolio keeps schemes");
-///     assert!(session.verify(scheme).is_strongly_connected);
+///     assert!(engine.verify(&instance, scheme).is_strongly_connected);
 /// }
 /// # Ok::<(), antennae_core::error::OrientError>(())
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct VerificationEngine {
-    strategy: DigraphStrategy,
     threads: usize,
 }
 
@@ -198,56 +162,27 @@ impl Default for VerificationEngine {
 }
 
 impl VerificationEngine {
-    /// An engine with [`DigraphStrategy::Auto`] and the default thread
-    /// count.
+    /// An engine with the default thread count.
     pub fn new() -> Self {
         VerificationEngine {
-            strategy: DigraphStrategy::Auto,
             threads: default_threads(),
         }
     }
 
-    /// Pins the digraph construction strategy (the oracle tests pin
-    /// [`DigraphStrategy::Dense`] and [`DigraphStrategy::KdTree`] to compare
-    /// them).
-    pub fn with_strategy(mut self, strategy: DigraphStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Sets the worker-thread count used by the batch entry points and by
-    /// large single rebuilds (`1` forces fully sequential verification).
+    /// Sets the worker-thread count used by large rebuilds (`1` forces fully
+    /// sequential verification).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
     }
 
-    /// The configured strategy.
-    pub fn strategy(&self) -> DigraphStrategy {
-        self.strategy
-    }
-
-    /// Returns `true` when the engine takes the kd-tree path for an
-    /// `n`-sensor rebuild under its configured strategy.
-    pub fn uses_kdtree(&self, n: usize) -> bool {
-        match self.strategy {
-            DigraphStrategy::Dense => false,
-            DigraphStrategy::KdTree => true,
-            DigraphStrategy::Auto => n >= KDTREE_VERIFY_CROSSOVER,
-        }
-    }
-
-    /// Builds the digraph induced by `scheme` over `points` under the
-    /// engine's strategy.
+    /// Builds the digraph induced by `scheme` over `points`, through a
+    /// kd-tree index built over `points` for this call.
     ///
     /// Output-identical to [`OrientationScheme::induced_digraph`] (same
-    /// edges, same adjacency order) regardless of strategy.
+    /// edges, same adjacency order).
     pub fn induced_digraph(&self, points: &[Point], scheme: &OrientationScheme) -> DiGraph {
-        if self.uses_kdtree(points.len()) {
-            self.kd_induced_digraph(points, scheme, &KdTree::build(points))
-        } else {
-            scheme.induced_digraph(points)
-        }
+        self.digraph_over(points, &KdIndex::build(points), scheme)
     }
 
     /// Verifies `scheme` against `instance` (connectivity and measurements
@@ -257,73 +192,34 @@ impl VerificationEngine {
     }
 
     /// Verifies `scheme` against `instance`, additionally checking `budget`
-    /// when `Some`.
+    /// when `Some`.  The range queries run on the instance's cached index.
     pub fn verify_with_budget(
         &self,
         instance: &Instance,
         scheme: &OrientationScheme,
         budget: Option<AntennaBudget>,
     ) -> VerificationReport {
-        let digraph = self.induced_digraph(instance.points(), scheme);
+        let digraph = self.digraph_over(instance.points(), instance.kd_index(), scheme);
         report_from_digraph(instance, scheme, budget, &digraph)
     }
 
-    /// Starts an incremental session over `instance`: the kd-tree is built
-    /// at most once (and not at all when the strategy resolves to the dense
-    /// path) and shared by every verification issued through the session.
+    /// The induced-digraph construction: one [`append_covered_row`] per
+    /// sensor against `index` (built over `points`).  Candidates arrive
+    /// sorted ascending, so the assembled adjacency lists match the dense
+    /// construction's visit order exactly.
     ///
-    /// This is the Portfolio / budget-grid case: all candidate schemes of
-    /// one instance share the same point set, so the spatial index is
-    /// instance state, not scheme state.
-    pub fn session<'a>(&self, instance: &'a Instance) -> VerificationSession<'a> {
-        let tree = self
-            .uses_kdtree(instance.len())
-            .then(|| KdTree::build(instance.points()));
-        VerificationSession {
-            instance,
-            tree,
-            engine: *self,
-        }
-    }
-
-    /// Verifies many independent `(instance, scheme)` pairs concurrently
-    /// over [`antennae_parallel::parallel_map`], preserving input order.
-    ///
-    /// Each pair is verified under `budget` (when `Some`).  Pairs are
-    /// independent, so the per-pair digraph rebuild runs sequentially inside
-    /// its worker — the fan-out happens across pairs.
-    pub fn verify_batch(
-        &self,
-        pairs: &[(&Instance, &OrientationScheme)],
-        budget: Option<AntennaBudget>,
-    ) -> Vec<VerificationReport> {
-        let sequential = self.with_threads(1);
-        parallel_map(pairs, self.threads, |(instance, scheme)| {
-            sequential.verify_with_budget(instance, scheme, budget)
-        })
-    }
-
-    /// The kd-tree induced-digraph construction: one bounded range query per
-    /// sensor (radius = that sensor's longest antenna range, widened by the
-    /// sector test's own [`EPS`] tolerance so the candidate set is a
-    /// superset), then the exact per-antenna sector test the dense path
-    /// applies.  Candidates arrive sorted ascending, so the assembled
-    /// adjacency lists match the dense construction's visit order exactly.
-    ///
-    /// Both paths write the CSR arrays directly — per-sensor candidate lists
-    /// become rows of one flat target vector, handed to
-    /// [`DiGraph::from_csr`] without any intermediate nested adjacency.  The
-    /// parallel path chunks the sensor range over
-    /// [`antennae_parallel::chunk_ranges`], each chunk emitting a local
+    /// Rows are written straight into CSR arrays handed to
+    /// [`DiGraph::from_csr`].  The parallel path chunks the sensor range
+    /// over [`antennae_parallel::chunk_ranges`], each chunk emitting a local
     /// `(row sizes, targets)` pair with one reused candidate buffer, and the
     /// chunks are spliced in order; each row's contents are computed by the
     /// same query-and-filter whatever the chunking, so every thread count
     /// assembles the identical digraph.
-    fn kd_induced_digraph(
+    fn digraph_over(
         &self,
         points: &[Point],
+        index: &KdIndex,
         scheme: &OrientationScheme,
-        tree: &KdTree,
     ) -> DiGraph {
         let n = points.len().min(scheme.len());
         // One chunk's rows: the number of targets per sensor in the range,
@@ -331,17 +227,19 @@ impl VerificationEngine {
         let scan_range = |start: usize, end: usize| -> (Vec<u32>, Vec<u32>) {
             let mut row_sizes = Vec::with_capacity(end - start);
             let mut targets: Vec<u32> = Vec::new();
-            let mut buf = Vec::new();
+            let mut candidates = Vec::new();
             for u in start..end {
-                let assignment = scheme.assignment(u);
                 let apex = &points[u];
-                tree.within_radius_into(apex, assignment.max_radius() + EPS, &mut buf);
                 let before = targets.len();
-                for &v in &buf {
-                    if v != u && assignment.covers(apex, &points[v]) {
-                        targets.push(v as u32);
-                    }
-                }
+                append_covered_row(
+                    u,
+                    apex,
+                    scheme.assignment(u),
+                    |radius, out| index.within_radius_into(points, apex, radius, out),
+                    |v| points[v],
+                    &mut candidates,
+                    &mut targets,
+                );
                 row_sizes.push((targets.len() - before) as u32);
             }
             (row_sizes, targets)
@@ -371,150 +269,148 @@ impl VerificationEngine {
     }
 }
 
-/// An incremental verification session: one instance, one kd-tree, many
-/// schemes.  Created by [`VerificationEngine::session`].
+/// The row filter of every digraph the engine and the dynamic session
+/// build: appends to `row`, in ascending order, every sensor `v ≠ u` that
+/// `assignment` covers from `apex`.
 ///
-/// Sessions are `Sync` (the kd-tree is immutable after construction), so a
-/// shared session can serve concurrent verifications — this is what
-/// [`VerificationSession::verify_schemes`] and the batch pipeline's verified
-/// entry points do.
-#[derive(Debug, Clone)]
-pub struct VerificationSession<'a> {
-    instance: &'a Instance,
-    tree: Option<KdTree>,
-    engine: VerificationEngine,
+/// `query(radius, candidates)` must fill `candidates`, ascending, with every
+/// sensor whose location lies within `radius` of `apex` (a range query on a
+/// spatial index); it is asked for the longest antenna range widened by the
+/// sector test's own [`EPS`], so the candidates are a superset of the
+/// covered sensors.  `point(v)` is sensor `v`'s location.
+pub(crate) fn append_covered_row(
+    u: usize,
+    apex: &Point,
+    assignment: &SensorAssignment,
+    query: impl FnOnce(f64, &mut Vec<usize>),
+    point: impl Fn(usize) -> Point,
+    candidates: &mut Vec<usize>,
+    row: &mut Vec<u32>,
+) {
+    query(assignment.max_radius() + EPS, candidates);
+    row.extend(
+        candidates
+            .iter()
+            .filter(|&&v| v != u && assignment.covers(apex, &point(v)))
+            .map(|&v| v as u32),
+    );
 }
 
-impl VerificationSession<'_> {
-    /// The instance this session verifies against.
-    pub fn instance(&self) -> &Instance {
-        self.instance
-    }
-
-    /// Builds the digraph induced by `scheme`, reusing the session's
-    /// kd-tree.
-    pub fn induced_digraph(&self, scheme: &OrientationScheme) -> DiGraph {
-        match &self.tree {
-            Some(tree) => self
-                .engine
-                .kd_induced_digraph(self.instance.points(), scheme, tree),
-            None => scheme.induced_digraph(self.instance.points()),
-        }
-    }
-
-    /// Verifies `scheme` (connectivity and measurements only).
-    pub fn verify(&self, scheme: &OrientationScheme) -> VerificationReport {
-        self.verify_with_budget(scheme, None)
-    }
-
-    /// Verifies `scheme`, additionally checking `budget` when `Some`.
-    pub fn verify_with_budget(
-        &self,
-        scheme: &OrientationScheme,
-        budget: Option<AntennaBudget>,
-    ) -> VerificationReport {
-        let digraph = self.induced_digraph(scheme);
-        report_from_digraph(self.instance, scheme, budget, &digraph)
-    }
-
-    /// Verifies many schemes against the session's instance concurrently
-    /// (one kd-tree, [`antennae_parallel::parallel_map`] across schemes),
-    /// preserving input order.
-    pub fn verify_schemes(
-        &self,
-        schemes: &[&OrientationScheme],
-        budget: Option<AntennaBudget>,
-    ) -> Vec<VerificationReport> {
-        // Each scheme rebuilds its digraph sequentially inside its worker
-        // (the fan-out is across schemes), borrowing the session's tree —
-        // the index is never copied, no matter how many calls or schemes.
-        let sequential = self.engine.with_threads(1);
-        parallel_map(schemes, self.engine.threads, |scheme| {
-            let digraph = match &self.tree {
-                Some(tree) => sequential.kd_induced_digraph(self.instance.points(), scheme, tree),
-                None => scheme.induced_digraph(self.instance.points()),
-            };
-            report_from_digraph(self.instance, scheme, budget, &digraph)
-        })
-    }
+/// One pass over a scheme's assignments in dense order: the budget
+/// violations (with dense sensor indices) and the scheme maxima, folded the
+/// way [`OrientationScheme::max_radius`] and its siblings fold them.
+///
+/// [`report_from_digraph`] and the dynamic session's verdict both run this
+/// fold and end in [`AssignmentFold::into_report`].
+#[derive(Debug, Default)]
+pub(crate) struct AssignmentFold {
+    violations: Vec<Violation>,
+    max_radius: f64,
+    max_spread_sum: f64,
+    max_antenna_count: usize,
 }
 
-/// Assembles a [`VerificationReport`] from an already-built induced digraph
-/// — the shared back half of every verification path (including the
-/// incrementally maintained digraph in [`crate::dynamic`]).
-pub(crate) fn report_from_digraph(
-    instance: &Instance,
-    scheme: &OrientationScheme,
-    budget: Option<AntennaBudget>,
-    digraph: &DiGraph,
-) -> VerificationReport {
-    let mut violations = Vec::new();
-    if scheme.len() != instance.len() {
-        violations.push(Violation::MissingAssignments {
-            expected: instance.len(),
-            actual: scheme.len(),
-        });
-    }
-    if let Some(budget) = budget {
-        for (i, assignment) in scheme.assignments.iter().enumerate() {
+impl AssignmentFold {
+    /// Folds in the assignment of dense sensor `sensor`, checking it against
+    /// `budget` when `Some`.
+    pub(crate) fn push(
+        &mut self,
+        sensor: usize,
+        assignment: &SensorAssignment,
+        budget: Option<AntennaBudget>,
+    ) {
+        if let Some(budget) = budget {
             if assignment.antenna_count() > budget.k {
-                violations.push(Violation::TooManyAntennas {
-                    sensor: i,
+                self.violations.push(Violation::TooManyAntennas {
+                    sensor,
                     used: assignment.antenna_count(),
                     allowed: budget.k,
                 });
             }
             if assignment.total_spread() > budget.phi + SPREAD_EPS {
-                violations.push(Violation::SpreadExceeded {
-                    sensor: i,
+                self.violations.push(Violation::SpreadExceeded {
+                    sensor,
                     used: assignment.total_spread(),
                     allowed: budget.phi,
                 });
             }
         }
+        self.max_radius = f64::max(self.max_radius, assignment.max_radius());
+        self.max_spread_sum = f64::max(self.max_spread_sum, assignment.total_spread());
+        self.max_antenna_count = self.max_antenna_count.max(assignment.antenna_count());
     }
 
-    // One masked-kernel Tarjan pass yields both the component count and the
-    // largest size (this used to be two full decompositions).
-    let summary = scc_summary(digraph);
-    let components = summary.count;
-    let largest = summary.largest;
-    let strongly_connected = instance.len() <= 1 || components == 1;
-    if !strongly_connected {
-        violations.push(Violation::NotStronglyConnected {
-            components,
-            largest_component: largest,
-        });
-    }
-
-    let max_radius = scheme.max_radius();
-    VerificationReport {
-        is_strongly_connected: strongly_connected,
-        scc_count: components,
-        edge_count: digraph.edge_count(),
-        max_radius,
-        max_radius_over_lmax: radius_over_lmax(max_radius, instance.lmax()),
-        max_spread_sum: scheme.max_spread_sum(),
-        max_antenna_count: scheme.max_antenna_count(),
-        violations,
+    /// The report over `sensors` sensors whose MST has longest edge `lmax`,
+    /// whose digraph has `edge_count` edges and the components `summary`
+    /// counts.  With nothing folded in and zero sensors this is the empty
+    /// deployment's report: strongly connected, no components, no
+    /// violations.
+    pub(crate) fn into_report(
+        self,
+        sensors: usize,
+        lmax: f64,
+        edge_count: usize,
+        summary: SccSummary,
+    ) -> VerificationReport {
+        let mut violations = self.violations;
+        let strongly_connected = summary.is_strongly_connected(sensors);
+        if !strongly_connected {
+            violations.push(Violation::NotStronglyConnected {
+                components: summary.count,
+                largest_component: summary.largest,
+            });
+        }
+        VerificationReport {
+            is_strongly_connected: strongly_connected,
+            scc_count: summary.count,
+            edge_count,
+            max_radius: self.max_radius,
+            max_radius_over_lmax: radius_over_lmax(self.max_radius, lmax),
+            max_spread_sum: self.max_spread_sum,
+            max_antenna_count: self.max_antenna_count,
+            violations,
+        }
     }
 }
 
+/// Assembles the [`VerificationReport`] of `scheme` on `instance` from its
+/// already-built induced `digraph` — the back half of every verification,
+/// and the way tests build the reference report from the dense
+/// [`OrientationScheme::induced_digraph`].
+pub fn report_from_digraph(
+    instance: &Instance,
+    scheme: &OrientationScheme,
+    budget: Option<AntennaBudget>,
+    digraph: &DiGraph,
+) -> VerificationReport {
+    let mut fold = AssignmentFold::default();
+    if scheme.len() != instance.len() {
+        fold.violations.push(Violation::MissingAssignments {
+            expected: instance.len(),
+            actual: scheme.len(),
+        });
+    }
+    for (sensor, assignment) in scheme.assignments.iter().enumerate() {
+        fold.push(sensor, assignment, budget);
+    }
+    fold.into_report(
+        instance.len(),
+        instance.lmax(),
+        digraph.edge_count(),
+        scc_summary(digraph),
+    )
+}
+
 /// Verifies `scheme` against `instance` without any budget constraints
-/// (connectivity and measurements only).
-///
-/// Routes through a default [`VerificationEngine`]
-/// ([`DigraphStrategy::Auto`]); pin a strategy or reuse a spatial index via
-/// the engine API directly.
+/// (connectivity and measurements only), through a default
+/// [`VerificationEngine`].
 pub fn verify(instance: &Instance, scheme: &OrientationScheme) -> VerificationReport {
     verify_with_budget(instance, scheme, None)
 }
 
 /// Verifies `scheme` against `instance`, additionally checking the given
-/// per-sensor budget when `budget` is `Some`.
-///
-/// Routes through a default [`VerificationEngine`]
-/// ([`DigraphStrategy::Auto`]).
+/// per-sensor budget when `budget` is `Some`, through a default
+/// [`VerificationEngine`].
 pub fn verify_with_budget(
     instance: &Instance,
     scheme: &OrientationScheme,
@@ -666,11 +562,22 @@ mod tests {
         assert_eq!(report.max_radius_over_lmax, 0.0);
     }
 
+    /// The dense pairwise reference: digraph and report.
+    fn reference(
+        instance: &Instance,
+        scheme: &OrientationScheme,
+        budget: Option<AntennaBudget>,
+    ) -> (DiGraph, VerificationReport) {
+        let digraph = scheme.induced_digraph(instance.points());
+        let report = report_from_digraph(instance, scheme, budget, &digraph);
+        (digraph, report)
+    }
+
     #[test]
-    fn coincident_points_ratio_is_consistent_across_paths() {
+    fn coincident_points_ratio_is_consistent_with_the_reference() {
         // Two coincident sensors: lmax = 0.  A positive radius must report
-        // an infinite normalized radius from BOTH digraph paths, a zero
-        // radius must report 0.
+        // an infinite normalized radius, a zero radius must report 0, on
+        // the engine and on the reference alike.
         let instance = Instance::new(vec![Point::new(1.0, 1.0), Point::new(1.0, 1.0)]).unwrap();
         assert_eq!(instance.lmax(), 0.0);
         let positive = OrientationScheme::new(vec![
@@ -678,93 +585,43 @@ mod tests {
             SensorAssignment::new(vec![Antenna::new(antennae_geometry::Angle::ZERO, 0.0, 0.5)]),
         ]);
         let zero = OrientationScheme::empty(2);
-        for strategy in [DigraphStrategy::Dense, DigraphStrategy::KdTree] {
-            let engine = VerificationEngine::new().with_strategy(strategy);
-            let report = engine.verify(&instance, &positive);
-            assert_eq!(report.max_radius_over_lmax, f64::INFINITY, "{strategy:?}");
-            // Coincident points cover each other (the apex rule), so the
-            // pair is strongly connected.
-            assert!(report.is_strongly_connected, "{strategy:?}");
-            let report = engine.verify(&instance, &zero);
-            assert_eq!(report.max_radius_over_lmax, 0.0, "{strategy:?}");
-        }
+        let report = verify(&instance, &positive);
+        assert_eq!(report.max_radius_over_lmax, f64::INFINITY);
+        // Coincident points cover each other (the apex rule), so the pair is
+        // strongly connected.
+        assert!(report.is_strongly_connected);
+        assert_eq!(report, reference(&instance, &positive, None).1);
+        let report = verify(&instance, &zero);
+        assert_eq!(report.max_radius_over_lmax, 0.0);
+        assert_eq!(report, reference(&instance, &zero, None).1);
     }
 
     #[test]
-    fn strategies_agree_on_small_schemes() {
+    fn engine_matches_the_reference_on_small_schemes() {
         let instance = line_instance();
         let schemes = [
             valid_cycle_scheme(&instance),
             OrientationScheme::empty(instance.len()),
             OrientationScheme::empty(1),
         ];
+        let engine = VerificationEngine::new();
         for scheme in &schemes {
-            let dense = VerificationEngine::new()
-                .with_strategy(DigraphStrategy::Dense)
-                .verify(&instance, scheme);
-            let fast = VerificationEngine::new()
-                .with_strategy(DigraphStrategy::KdTree)
-                .verify(&instance, scheme);
-            assert_eq!(dense, fast);
-            let dense_g = VerificationEngine::new()
-                .with_strategy(DigraphStrategy::Dense)
-                .induced_digraph(instance.points(), scheme);
-            let fast_g = VerificationEngine::new()
-                .with_strategy(DigraphStrategy::KdTree)
-                .induced_digraph(instance.points(), scheme);
-            assert_eq!(dense_g, fast_g);
+            let (digraph, report) = reference(&instance, scheme, None);
+            assert_eq!(engine.verify(&instance, scheme), report);
+            assert_eq!(engine.induced_digraph(instance.points(), scheme), digraph);
         }
     }
 
     #[test]
-    fn auto_strategy_resolves_by_size() {
-        let engine = VerificationEngine::new();
-        assert!(!engine.uses_kdtree(KDTREE_VERIFY_CROSSOVER - 1));
-        assert!(engine.uses_kdtree(KDTREE_VERIFY_CROSSOVER));
-        assert!(!engine
-            .with_strategy(DigraphStrategy::Dense)
-            .uses_kdtree(1_000_000));
-        assert!(engine.with_strategy(DigraphStrategy::KdTree).uses_kdtree(2));
-        assert_eq!(engine.strategy(), DigraphStrategy::Auto);
-    }
-
-    #[test]
-    fn session_reuses_one_tree_across_schemes() {
+    fn repeated_verifies_share_the_instance_index() {
         let instance = line_instance();
         let cycle = valid_cycle_scheme(&instance);
         let empty = OrientationScheme::empty(instance.len());
-        let session = VerificationEngine::new()
-            .with_strategy(DigraphStrategy::KdTree)
-            .session(&instance);
-        assert_eq!(session.instance().len(), 3);
-        assert!(session.verify(&cycle).is_strongly_connected);
-        assert!(!session.verify(&empty).is_strongly_connected);
-        let reports = session.verify_schemes(&[&cycle, &empty], None);
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0], session.verify(&cycle));
-        assert_eq!(reports[1], session.verify(&empty));
-        // Dense-resolved sessions build no tree and still agree.
-        let dense_session = VerificationEngine::new()
-            .with_strategy(DigraphStrategy::Dense)
-            .session(&instance);
-        assert_eq!(dense_session.verify(&cycle), session.verify(&cycle));
-    }
-
-    #[test]
-    fn verify_batch_preserves_order_and_matches_single_calls() {
-        let a = line_instance();
-        let b = Instance::new(vec![Point::new(0.0, 0.0), Point::new(0.5, 0.5)]).unwrap();
-        let scheme_a = valid_cycle_scheme(&a);
-        let scheme_b = OrientationScheme::empty(b.len());
-        let engine = VerificationEngine::new();
-        let pairs: Vec<(&Instance, &OrientationScheme)> =
-            vec![(&a, &scheme_a), (&b, &scheme_b), (&a, &scheme_a)];
-        let reports = engine.verify_batch(&pairs, None);
-        assert_eq!(reports.len(), 3);
-        assert_eq!(reports[0], engine.verify(&a, &scheme_a));
-        assert_eq!(reports[1], engine.verify(&b, &scheme_b));
-        assert_eq!(reports[0], reports[2]);
-        assert!(reports[0].is_strongly_connected);
-        assert!(!reports[1].is_strongly_connected);
+        let first = verify(&instance, &cycle);
+        let index = instance.kd_index() as *const KdIndex;
+        assert!(first.is_strongly_connected);
+        assert!(!verify(&instance, &empty).is_strongly_connected);
+        assert_eq!(verify(&instance, &cycle), first);
+        assert_eq!(instance.kd_index() as *const KdIndex, index);
     }
 }

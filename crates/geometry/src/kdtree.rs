@@ -21,8 +21,8 @@
 //! * [`KdIndex`] — the index alone, borrowing the point slice at every
 //!   query, so indexing points the caller already owns copies nothing.
 //! * [`KdTree`] — an index bundled with an owned copy of the points, for
-//!   callers that want a self-contained value (the verification session, the
-//!   dynamic snapshot index).  [`KdTree::build_owned`] takes the point
+//!   callers that want a self-contained value (the dynamic snapshot
+//!   index).  [`KdTree::build_owned`] takes the point
 //!   vector by value, so handing ownership over costs nothing; only
 //!   [`KdTree::build`] on a borrowed slice pays one copy.
 //!

@@ -134,23 +134,6 @@ pub fn critical_vertices(g: &DiGraph) -> Vec<usize> {
     critical
 }
 
-/// The strong vertex connectivity of `g`, capped at `cap`: the smallest
-/// number of vertices whose removal leaves a digraph that is not strongly
-/// connected, or `cap` if every removal of fewer than `cap` vertices keeps it
-/// strongly connected.  Returns 0 for a digraph that is not strongly
-/// connected to begin with.
-pub fn strong_vertex_connectivity(g: &DiGraph, cap: usize) -> usize {
-    if !g.is_strongly_connected() {
-        return 0;
-    }
-    for c in 2..=cap {
-        if !is_strongly_c_connected(g, c) {
-            return c - 1;
-        }
-    }
-    cap
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,7 +169,6 @@ mod tests {
         let g = directed_cycle(6);
         assert!(is_strongly_c_connected(&g, 1));
         assert!(!is_strongly_c_connected(&g, 2));
-        assert_eq!(strong_vertex_connectivity(&g, 4), 1);
         // Every vertex of a bare cycle is critical.
         assert_eq!(critical_vertices(&g), vec![0, 1, 2, 3, 4, 5]);
     }
@@ -197,7 +179,6 @@ mod tests {
         assert!(is_strongly_c_connected(&g, 1));
         assert!(is_strongly_c_connected(&g, 2));
         assert!(is_strongly_c_connected(&g, 3));
-        assert_eq!(strong_vertex_connectivity(&g, 4), 4);
         assert!(critical_vertices(&g).is_empty());
     }
 
@@ -206,7 +187,6 @@ mod tests {
         let mut g = DiGraph::new(3);
         g.add_edge(0, 1);
         assert!(!is_strongly_c_connected(&g, 1));
-        assert_eq!(strong_vertex_connectivity(&g, 3), 0);
         assert!(critical_vertices(&g).is_empty());
     }
 
@@ -223,7 +203,6 @@ mod tests {
         g.add_edge(4, 0);
         assert!(is_strongly_c_connected(&g, 1));
         assert!(!is_strongly_c_connected(&g, 2));
-        assert_eq!(strong_vertex_connectivity(&g, 3), 1);
         // Removing any single triangle vertex breaks the directed cycle it
         // belongs to, so every vertex is critical here.
         assert_eq!(critical_vertices(&g), vec![0, 1, 2, 3, 4]);

@@ -347,19 +347,6 @@ impl DiGraph {
         (self.out_offsets[u + 1] - self.out_offsets[u]) as usize
     }
 
-    /// In-degree of `u`.
-    pub fn in_degree(&self, u: usize) -> usize {
-        (self.in_offsets[u + 1] - self.in_offsets[u]) as usize
-    }
-
-    /// Maximum out-degree over all vertices.
-    pub fn max_out_degree(&self) -> usize {
-        (0..self.len())
-            .map(|u| self.out_degree(u))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// All directed edges as `(u, v)` pairs.
     pub fn edges(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::with_capacity(self.edge_count());
@@ -369,23 +356,6 @@ impl DiGraph {
             }
         }
         out
-    }
-
-    /// The set of vertices reachable from `start` (including `start`),
-    /// as a boolean membership vector.
-    ///
-    /// Allocating convenience wrapper; repeated or masked queries should
-    /// reuse a [`TraversalScratch`].
-    pub fn reachable_from(&self, start: usize) -> Vec<bool> {
-        let mut seen = vec![false; self.len()];
-        if start >= self.len() {
-            return seen;
-        }
-        let mut scratch = TraversalScratch::new();
-        for &v in scratch.bfs(self, start, None) {
-            seen[v as usize] = true;
-        }
-        seen
     }
 
     /// Number of vertices reachable from `start` (including itself).
@@ -455,10 +425,9 @@ mod tests {
         assert!(g.has_edge(0, 1));
         assert!(!g.has_edge(1, 0));
         assert_eq!(g.out_degree(0), 1);
-        assert_eq!(g.in_degree(2), 1);
+        assert_eq!(g.in_neighbors(2), &[1]);
         assert_eq!(g.out_neighbors(1), &[2]);
         assert_eq!(g.in_neighbors(1), &[0]);
-        assert_eq!(g.max_out_degree(), 1);
     }
 
     #[test]
@@ -543,8 +512,6 @@ mod tests {
         g.add_edge(0, 1);
         g.add_edge(1, 2);
         // vertex 3 unreachable
-        let reach = g.reachable_from(0);
-        assert_eq!(reach, vec![true, true, true, false]);
         assert_eq!(g.reachable_count(0), 3);
         let d = g.hop_distances(0);
         assert_eq!(d, vec![Some(0), Some(1), Some(2), None]);

@@ -9,7 +9,7 @@ pub mod kruskal;
 
 pub use kruskal::kruskal_mst;
 
-use crate::graph::{Edge, Graph};
+use crate::graph::Edge;
 
 /// Result of an MST computation.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,16 +42,12 @@ impl MstResult {
     pub fn max_edge_weight(&self) -> f64 {
         self.edges.iter().map(|e| e.weight).fold(0.0, f64::max)
     }
-
-    /// Converts the edge list into a [`Graph`] over `n` vertices.
-    pub fn as_graph(&self, n: usize) -> Graph {
-        Graph::from_edges(n, &self.edges)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Graph;
 
     fn sample_graph() -> Graph {
         // Weighted graph with a known MST of weight 1 + 2 + 3 = 6.
@@ -88,15 +84,5 @@ mod tests {
         assert!(kruskal_mst(&empty).edges.is_empty());
         let single = Graph::new(1);
         assert!(kruskal_mst(&single).spans(1));
-    }
-
-    #[test]
-    fn as_graph_round_trips_edges() {
-        let g = sample_graph();
-        let mst = kruskal_mst(&g).as_graph(4);
-        assert_eq!(mst.edge_count(), 3);
-        assert!(mst.has_edge(0, 1));
-        assert!(mst.has_edge(1, 2));
-        assert!(mst.has_edge(2, 3));
     }
 }

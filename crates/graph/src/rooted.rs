@@ -138,11 +138,6 @@ impl RootedTree {
         self.child_count(v) + usize::from(self.parent[v].is_some())
     }
 
-    /// Returns `true` when `v` is a leaf of the rooted tree (no children).
-    pub fn is_leaf(&self, v: usize) -> bool {
-        self.children[v].is_empty()
-    }
-
     /// Depth of `v` (root has depth 0).
     pub fn depth(&self, v: usize) -> usize {
         self.depth[v]
@@ -156,31 +151,6 @@ impl RootedTree {
     /// `lmax` of the underlying MST.
     pub fn lmax(&self) -> f64 {
         self.lmax
-    }
-
-    /// Length of the edge from `v` to its parent (`None` for the root).
-    pub fn parent_edge_length(&self, v: usize) -> Option<f64> {
-        self.parent[v].map(|p| self.points[v].distance(&self.points[p]))
-    }
-
-    /// Vertices in post-order (every vertex appears after all of its
-    /// children) — the order in which the inductive constructions of
-    /// Theorems 3, 5 and 6 process the tree.
-    pub fn post_order(&self) -> Vec<usize> {
-        let mut order = Vec::with_capacity(self.len());
-        // Iterative post-order.
-        let mut stack: Vec<(usize, usize)> = vec![(self.root, 0)];
-        while let Some(&mut (v, ref mut next_child)) = stack.last_mut() {
-            if *next_child < self.children[v].len() {
-                let c = self.children[v][*next_child];
-                *next_child += 1;
-                stack.push((c, 0));
-            } else {
-                order.push(v);
-                stack.pop();
-            }
-        }
-        order
     }
 
     /// Vertices in BFS (level) order starting from the root.
@@ -278,26 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn post_order_visits_children_before_parents() {
-        let tree = RootedTree::from_mst(&plus_shape());
-        let order = tree.post_order();
-        assert_eq!(order.len(), tree.len());
-        let position: Vec<usize> = {
-            let mut pos = vec![0; tree.len()];
-            for (i, &v) in order.iter().enumerate() {
-                pos[v] = i;
-            }
-            pos
-        };
-        for v in 0..tree.len() {
-            for &c in tree.children(v) {
-                assert!(position[c] < position[v]);
-            }
-        }
-        assert_eq!(*order.last().unwrap(), tree.root());
-    }
-
-    #[test]
     fn bfs_order_starts_at_root_and_respects_levels() {
         let tree = RootedTree::from_mst(&plus_shape());
         let order = tree.bfs_order();
@@ -315,7 +265,9 @@ mod tests {
         sub.sort_unstable();
         assert_eq!(sub, (0..tree.len()).collect::<Vec<_>>());
         // Subtree of a leaf is itself.
-        let leaf = (0..tree.len()).find(|&v| tree.is_leaf(v)).unwrap();
+        let leaf = (0..tree.len())
+            .find(|&v| tree.children(v).is_empty())
+            .unwrap();
         assert_eq!(tree.subtree(leaf), vec![leaf]);
     }
 
@@ -327,14 +279,6 @@ mod tests {
         assert_eq!(tree.height(), 4);
         assert_eq!(tree.max_degree(), 2);
         assert!((tree.lmax() - 1.0).abs() < 1e-12);
-        // Every non-root vertex has a parent edge of length 1.
-        for v in 0..tree.len() {
-            if v != tree.root() {
-                assert!((tree.parent_edge_length(v).unwrap() - 1.0).abs() < 1e-12);
-            } else {
-                assert!(tree.parent_edge_length(v).is_none());
-            }
-        }
     }
 
     #[test]
@@ -343,8 +287,7 @@ mod tests {
         let tree = RootedTree::from_mst(&mst);
         assert_eq!(tree.len(), 1);
         assert_eq!(tree.root(), 0);
-        assert!(tree.is_leaf(0));
-        assert_eq!(tree.post_order(), vec![0]);
+        assert!(tree.children(0).is_empty());
         assert_eq!(tree.height(), 0);
     }
 }

@@ -4,7 +4,9 @@
 //!
 //! * [`TraversalScratch::scc_summary`] — a masked, allocation-free Tarjan
 //!   pass returning only component count and largest size (what the
-//!   verification report needs), reusing the shared traversal scratch.
+//!   verification report needs), reusing the shared traversal scratch;
+//!   [`TraversalScratch::scc_summary_rows`] runs the same loop over
+//!   id-space rows with an aliveness predicate.
 //! * [`tarjan_scc`] — full decomposition (iterative Tarjan, production
 //!   paths that need the components themselves).
 //! * [`kosaraju_scc`] — a second, independent implementation kept as a
@@ -42,72 +44,14 @@ impl TraversalScratch {
     /// vertices only.
     pub fn scc_summary(&mut self, g: &DiGraph, mask: Option<&VertexMask>) -> SccSummary {
         debug_assert_mask_matches(g, mask);
-        let n = g.len();
-        self.begin(n);
-        let mut next_index: u32 = 0;
-        let mut count = 0usize;
-        let mut largest = 0usize;
-        for start in 0..n {
-            if self.is_marked(start as u32) || !alive(mask, start) {
-                continue;
-            }
-            self.call.push((start as u32, 0));
-            while let Some(&mut (v, ref mut child_pos)) = self.call.last_mut() {
-                let v_us = v as usize;
-                if *child_pos == 0 {
-                    self.visited[v_us] = self.epoch;
-                    self.value[v_us] = next_index;
-                    self.low[v_us] = next_index;
-                    next_index += 1;
-                    self.stack.push(v);
-                    self.on_stack[v_us] = true;
-                }
-                let out = g.out_neighbors(v_us);
-                if (*child_pos as usize) < out.len() {
-                    let w = out[*child_pos as usize];
-                    *child_pos += 1;
-                    let w_us = w as usize;
-                    if !alive(mask, w_us) {
-                        continue;
-                    }
-                    if self.visited[w_us] != self.epoch {
-                        self.call.push((w, 0));
-                    } else if self.on_stack[w_us] {
-                        self.low[v_us] = self.low[v_us].min(self.value[w_us]);
-                    }
-                } else {
-                    // Finished v.
-                    self.call.pop();
-                    if let Some(&(parent, _)) = self.call.last() {
-                        let p = parent as usize;
-                        self.low[p] = self.low[p].min(self.low[v_us]);
-                    }
-                    if self.low[v_us] == self.value[v_us] {
-                        let mut size = 0usize;
-                        loop {
-                            let w = self.stack.pop().expect("tarjan stack underflow");
-                            self.on_stack[w as usize] = false;
-                            size += 1;
-                            if w == v {
-                                break;
-                            }
-                        }
-                        count += 1;
-                        largest = largest.max(size);
-                    }
-                }
-            }
-        }
-        SccSummary { count, largest }
+        self.tarjan_summary(g.len(), |v| g.out_neighbors(v), |v| alive(mask, v))
     }
-}
 
-impl TraversalScratch {
     /// [`TraversalScratch::scc_summary`] over an **adjacency-list digraph**
     /// (`rows[v]` = out-neighbors of `v`) with an aliveness predicate,
     /// instead of a materialized CSR [`DiGraph`] with a [`VertexMask`].
     ///
-    /// This is the kernel incremental maintainers want: they keep rows in a
+    /// This is the form incremental maintainers want: they keep rows in a
     /// stable id space with tombstoned entries, and re-checking strong
     /// connectivity after an edit should not pay an O(n + m) dense
     /// re-indexing first.  Dead vertices are skipped exactly like
@@ -119,7 +63,17 @@ impl TraversalScratch {
         rows: &[Vec<u32>],
         alive: F,
     ) -> SccSummary {
-        let n = rows.len();
+        self.tarjan_summary(rows.len(), |v| rows[v].as_slice(), alive)
+    }
+
+    /// The one Tarjan summary loop behind both public entry points: `out(v)`
+    /// lists the out-neighbours of vertex `v < n`, and vertices for which
+    /// `alive` returns `false` are skipped, as starts and as targets.
+    fn tarjan_summary<'g, R, A>(&mut self, n: usize, out: R, alive: A) -> SccSummary
+    where
+        R: Fn(usize) -> &'g [u32],
+        A: Fn(usize) -> bool,
+    {
         self.begin(n);
         let mut next_index: u32 = 0;
         let mut count = 0usize;
@@ -139,7 +93,7 @@ impl TraversalScratch {
                     self.stack.push(v);
                     self.on_stack[v_us] = true;
                 }
-                let out = &rows[v_us];
+                let out = out(v_us);
                 if (*child_pos as usize) < out.len() {
                     let w = out[*child_pos as usize];
                     *child_pos += 1;
@@ -321,11 +275,6 @@ pub fn is_strongly_connected(g: &DiGraph) -> bool {
     g.len() <= 1 || TraversalScratch::new().is_strongly_connected(g, None)
 }
 
-/// Size of the largest strongly connected component (0 for an empty graph).
-pub fn largest_scc_size(g: &DiGraph) -> usize {
-    scc_summary(g).largest
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,7 +294,6 @@ mod tests {
         assert_eq!(tarjan_scc(&g).len(), 1);
         assert_eq!(kosaraju_scc(&g).len(), 1);
         assert!(is_strongly_connected(&g));
-        assert_eq!(largest_scc_size(&g), 4);
         assert_eq!(
             scc_summary(&g),
             SccSummary {
@@ -363,7 +311,7 @@ mod tests {
         g.add_edge(2, 3);
         assert_eq!(scc_count(&g), 4);
         assert!(!is_strongly_connected(&g));
-        assert_eq!(largest_scc_size(&g), 1);
+        assert_eq!(scc_summary(&g).largest, 1);
     }
 
     #[test]

@@ -337,31 +337,6 @@ pub fn bfs_order(g: &Graph, start: usize) -> Vec<usize> {
     order
 }
 
-/// Depth-first order of the vertices reachable from `start` (iterative,
-/// children visited in adjacency order).
-pub fn dfs_order(g: &Graph, start: usize) -> Vec<usize> {
-    let mut visited = vec![false; g.len()];
-    let mut order = Vec::new();
-    if start >= g.len() {
-        return order;
-    }
-    let mut stack = vec![start];
-    while let Some(u) = stack.pop() {
-        if visited[u] {
-            continue;
-        }
-        visited[u] = true;
-        order.push(u);
-        // Push in reverse so that the first neighbour is processed first.
-        for &(v, _) in g.neighbors(u).iter().rev() {
-            if !visited[v] {
-                stack.push(v);
-            }
-        }
-    }
-    order
-}
-
 /// Connected components of the graph; each component is a sorted vertex list.
 pub fn connected_components(g: &Graph) -> Vec<Vec<usize>> {
     let mut visited = vec![false; g.len()];
@@ -395,36 +370,6 @@ pub fn is_connected(g: &Graph) -> bool {
     g.len() <= 1 || bfs_order(g, 0).len() == g.len()
 }
 
-/// Returns `true` when the graph is a tree: connected with exactly `n − 1`
-/// edges.
-pub fn is_tree(g: &Graph) -> bool {
-    if g.is_empty() {
-        return true;
-    }
-    g.edge_count() == g.len() - 1 && is_connected(g)
-}
-
-/// Returns `true` when the graph contains a cycle.
-pub fn has_cycle(g: &Graph) -> bool {
-    // For an undirected simple graph, a cycle exists iff some component has
-    // at least as many edges as vertices.
-    let comps = connected_components(g);
-    for comp in comps {
-        let mut edges_in_comp = 0;
-        for &u in &comp {
-            for &(v, _) in g.neighbors(u) {
-                if u < v {
-                    edges_in_comp += 1;
-                }
-            }
-        }
-        if edges_in_comp >= comp.len() {
-            return true;
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,15 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn dfs_visits_all_reachable_vertices() {
-        let g = path(5);
-        assert_eq!(dfs_order(&g, 0), vec![0, 1, 2, 3, 4]);
-        let mut from_middle = dfs_order(&g, 2);
-        from_middle.sort_unstable();
-        assert_eq!(from_middle, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
     fn components_of_disconnected_graph() {
         let mut g = Graph::new(6);
         g.add_edge(0, 1, 1.0);
@@ -472,29 +408,9 @@ mod tests {
     }
 
     #[test]
-    fn tree_and_cycle_detection() {
-        let g = path(4);
-        assert!(is_tree(&g));
-        assert!(!has_cycle(&g));
-        assert!(is_connected(&g));
-
-        let mut with_cycle = path(4);
-        with_cycle.add_edge(3, 0, 1.0);
-        assert!(!is_tree(&with_cycle));
-        assert!(has_cycle(&with_cycle));
-
-        let mut forest = Graph::new(4);
-        forest.add_edge(0, 1, 1.0);
-        assert!(!is_tree(&forest)); // disconnected
-        assert!(!has_cycle(&forest));
-    }
-
-    #[test]
     fn trivial_graphs() {
         assert!(is_connected(&Graph::new(0)));
         assert!(is_connected(&Graph::new(1)));
-        assert!(is_tree(&Graph::new(1)));
-        assert!(is_tree(&Graph::new(0)));
         assert!(bfs_order(&Graph::new(0), 0).is_empty());
     }
 

@@ -5,7 +5,6 @@
 pub struct UnionFind {
     parent: Vec<usize>,
     rank: Vec<u8>,
-    components: usize,
 }
 
 impl UnionFind {
@@ -14,7 +13,6 @@ impl UnionFind {
         UnionFind {
             parent: (0..n).collect(),
             rank: vec![0; n],
-            components: n,
         }
     }
 
@@ -26,11 +24,6 @@ impl UnionFind {
     /// Returns `true` when the structure is empty.
     pub fn is_empty(&self) -> bool {
         self.parent.is_empty()
-    }
-
-    /// Number of disjoint sets currently represented.
-    pub fn component_count(&self) -> usize {
-        self.components
     }
 
     /// Representative of the set containing `x` (with path compression).
@@ -66,7 +59,6 @@ impl UnionFind {
         if self.rank[big] == self.rank[small] {
             self.rank[big] += 1;
         }
-        self.components -= 1;
         true
     }
 
@@ -84,7 +76,6 @@ mod tests {
     fn starts_with_singletons() {
         let mut uf = UnionFind::new(5);
         assert_eq!(uf.len(), 5);
-        assert_eq!(uf.component_count(), 5);
         assert!(!uf.connected(0, 1));
         assert!(!uf.is_empty());
     }
@@ -97,7 +88,6 @@ mod tests {
         assert!(!uf.union(0, 2)); // already connected
         assert!(uf.connected(0, 2));
         assert!(!uf.connected(0, 3));
-        assert_eq!(uf.component_count(), 3);
     }
 
     #[test]
@@ -106,7 +96,6 @@ mod tests {
         for i in 1..10 {
             uf.union(0, i);
         }
-        assert_eq!(uf.component_count(), 1);
         for i in 0..10 {
             for j in 0..10 {
                 assert!(uf.connected(i, j));
@@ -118,6 +107,5 @@ mod tests {
     fn empty_structure() {
         let uf = UnionFind::new(0);
         assert!(uf.is_empty());
-        assert_eq!(uf.component_count(), 0);
     }
 }

@@ -46,9 +46,9 @@ fn main() {
                     .policy(SelectionPolicy::BestGuarantee)
                     .run()
                     .expect("orientable");
-                // `run_verified` re-verifies every candidate through ONE
-                // shared VerificationEngine session (the kd-tree over the
-                // deployment is built once, not once per candidate).
+                // `run_verified` re-verifies every candidate against the
+                // instance's cached kd-tree (built once, not once per
+                // candidate).
                 let verified = Solver::on(&instance)
                     .budget(k, phi)
                     .policy(SelectionPolicy::Portfolio)

@@ -70,7 +70,7 @@ pub use antennae_store as store;
 pub mod prelude {
     pub use antennae_core::algorithms::AlgorithmKind;
     pub use antennae_core::antenna::{Antenna, AntennaBudget, SensorAssignment};
-    pub use antennae_core::batch::{BatchOrienter, InstanceBatch};
+    pub use antennae_core::batch::BatchOrienter;
     pub use antennae_core::bounds;
     pub use antennae_core::dynamic::{
         BatchOutcome, DynamicInstance, DynamicSolverSession, Edit, EditOutcome,
@@ -80,9 +80,7 @@ pub mod prelude {
     pub use antennae_core::solver::{
         Guarantee, OrientationOutcome, Orienter, Registry, SelectionPolicy, Solver, VerifiedOutcome,
     };
-    pub use antennae_core::verify::{
-        verify, DigraphStrategy, VerificationEngine, VerificationReport, VerificationSession,
-    };
+    pub use antennae_core::verify::{verify, VerificationEngine, VerificationReport};
     pub use antennae_geometry::{Angle, Point, Sector};
     pub use antennae_graph::euclidean::EuclideanMst;
     pub use antennae_sim::generators::{self, PointSetGenerator};

@@ -15,8 +15,8 @@
 //!   must equal the legacy dense pairwise construction bit-for-bit),
 //! * property tests fuzz random digraphs and random fault masks.
 //!
-//! The dense-vs-kd-tree digraph equality assertions of PR 3 live unchanged
-//! in `tests/verification_oracle.rs`; this file is about the *storage and
+//! The reference-against-engine digraph equality assertions live in
+//! `tests/verification_oracle.rs`; this file is about the *storage and
 //! traversal* layer underneath them.
 
 use antennae::core::antenna::AntennaBudget;
@@ -243,17 +243,14 @@ fn exercise_deployment(points: Vec<antennae::geometry::Point>, label: &str) {
             }
         }
     }
-    for strategy in [DigraphStrategy::Dense, DigraphStrategy::KdTree] {
-        let csr = VerificationEngine::new()
-            .with_strategy(strategy)
-            .induced_digraph(points, &scheme);
-        assert_eq!(
-            csr,
-            legacy.to_csr(),
-            "{label}: {strategy:?} vs legacy dense"
-        );
-    }
+    let legacy_csr = legacy.to_csr();
+    assert_eq!(
+        scheme.induced_digraph(points),
+        legacy_csr,
+        "{label}: reference vs legacy dense"
+    );
     let csr = VerificationEngine::new().induced_digraph(points, &scheme);
+    assert_eq!(csr, legacy_csr, "{label}: engine vs legacy dense");
     let mut scratch = TraversalScratch::new();
     assert_unmasked_kernels_match(&csr, &legacy, &mut scratch);
     for v in 0..csr.len().min(12) {

@@ -12,9 +12,10 @@
 //!   there weight and `lmax` must still match to float noise;
 //! * scheme: in the Theorem 2 regime, **exactly** the scheme a full
 //!   re-orientation produces on the materialized instance;
-//! * induced digraph: **exactly** the verification engine's from-scratch
-//!   construction (both the dense reference and the kd-tree fast path);
-//! * verdict: **exactly** the report of a fresh `verify_with_budget`.
+//! * induced digraph: **exactly** the dense reference construction and
+//!   the verification engine's from-scratch kd-tree construction;
+//! * verdict: **exactly** the dense reference's report and the report of a
+//!   fresh `verify_with_budget`.
 //!
 //! The deterministic sweep covers stochastic and extremal generators,
 //! drain-to-one-sensor scripts and duplicate-point edits; the property tests
@@ -28,7 +29,7 @@
 use antennae::core::antenna::AntennaBudget;
 use antennae::core::bounds::theorem2_spread_threshold;
 use antennae::core::dynamic::{DynamicInstance, DynamicSolverSession, Edit};
-use antennae::core::verify::verify_with_budget;
+use antennae::core::verify::{report_from_digraph, verify_with_budget};
 use antennae::graph::euclidean::{MstEngine, MAX_MST_DEGREE};
 use antennae::graph::UnionFind;
 use antennae::prelude::*;
@@ -148,16 +149,17 @@ fn assert_oracle(session: &mut DynamicSolverSession) {
     }
 
     // Digraph vs both static constructions (ordered-structural equality).
-    let dense = VerificationEngine::new()
-        .with_strategy(DigraphStrategy::Dense)
-        .induced_digraph(instance.points(), &scheme);
+    let dense = scheme.induced_digraph(instance.points());
     assert_eq!(digraph, dense, "digraph diverged from dense reference");
-    let kd = VerificationEngine::new()
-        .with_strategy(DigraphStrategy::KdTree)
-        .induced_digraph(instance.points(), &scheme);
+    let kd = VerificationEngine::new().induced_digraph(instance.points(), &scheme);
     assert_eq!(digraph, kd, "digraph diverged from kd-tree engine");
 
-    // Verdict vs a fresh from-scratch verification.
+    // Verdict vs the dense reference's report and a fresh verification.
+    let reference = report_from_digraph(&instance, &scheme, Some(budget), &dense);
+    assert_eq!(
+        report, reference,
+        "report diverged from the dense reference"
+    );
     let fresh = verify_with_budget(&instance, &scheme, Some(budget));
     assert_eq!(report, fresh, "report diverged from fresh verification");
 }

@@ -3,12 +3,12 @@
 //! must expose exactly what was broken.
 
 use antennae::core::antenna::{Antenna, SensorAssignment};
-use antennae::core::verify::{verify_with_budget, Violation};
+use antennae::core::verify::{report_from_digraph, verify_with_budget, Violation};
 use antennae::geometry::Angle;
 use antennae::prelude::*;
 use std::f64::consts::PI;
 
-/// Verifies `scheme` through the dense oracle AND the kd-tree fast path,
+/// Verifies `scheme` through the dense reference AND the kd-tree engine,
 /// asserts the two reports are bit-identical (same measurements, same
 /// `Violation` variants in the same order), and returns the shared report.
 fn verify_both_paths(
@@ -16,15 +16,16 @@ fn verify_both_paths(
     scheme: &OrientationScheme,
     budget: Option<AntennaBudget>,
 ) -> VerificationReport {
-    let dense = VerificationEngine::new()
-        .with_strategy(DigraphStrategy::Dense)
-        .verify_with_budget(instance, scheme, budget);
-    let fast = VerificationEngine::new()
-        .with_strategy(DigraphStrategy::KdTree)
-        .verify_with_budget(instance, scheme, budget);
+    let dense = report_from_digraph(
+        instance,
+        scheme,
+        budget,
+        &scheme.induced_digraph(instance.points()),
+    );
+    let fast = VerificationEngine::new().verify_with_budget(instance, scheme, budget);
     assert_eq!(
         dense, fast,
-        "fast and dense verifiers disagree on an injected failure"
+        "engine and dense reference disagree on an injected failure"
     );
     dense
 }

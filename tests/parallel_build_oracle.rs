@@ -100,9 +100,7 @@ fn assert_pipeline_thread_invariant(points: &[Point], k: usize, context: &str) {
         "MST mismatch: {context}"
     );
     let serial_scheme = orient_theorem2_with_threads(&instance, k, 1).unwrap();
-    let serial_engine = VerificationEngine::new()
-        .with_strategy(DigraphStrategy::KdTree)
-        .with_threads(1);
+    let serial_engine = VerificationEngine::new().with_threads(1);
     let serial_graph = serial_engine.induced_digraph(instance.points(), &serial_scheme);
     let serial_report = serial_engine.verify(&instance, &serial_scheme);
 
@@ -114,9 +112,7 @@ fn assert_pipeline_thread_invariant(points: &[Point], k: usize, context: &str) {
             "scheme mismatch: {context} threads={threads}"
         );
 
-        let engine = VerificationEngine::new()
-            .with_strategy(DigraphStrategy::KdTree)
-            .with_threads(threads);
+        let engine = VerificationEngine::new().with_threads(threads);
         let graph = engine.induced_digraph(instance.points(), &scheme);
         assert_eq!(
             serial_graph, graph,
@@ -246,16 +242,12 @@ proptest! {
         let instance = Instance::new(points.clone()).unwrap();
         prop_assert_eq!(mst_bits(&delaunay), mst_bits(instance.mst()));
         let serial_scheme = orient_theorem2_with_threads(&instance, k, 1).unwrap();
-        let serial_report = VerificationEngine::new()
-            .with_strategy(DigraphStrategy::KdTree)
-            .with_threads(1)
+        let serial_report = VerificationEngine::new().with_threads(1)
             .verify(&instance, &serial_scheme);
         for threads in [2usize, 4] {
             let scheme = orient_theorem2_with_threads(&instance, k, threads).unwrap();
             prop_assert_eq!(scheme_bits(&serial_scheme), scheme_bits(&scheme));
-            let report = VerificationEngine::new()
-                .with_strategy(DigraphStrategy::KdTree)
-                .with_threads(threads)
+            let report = VerificationEngine::new().with_threads(threads)
                 .verify(&instance, &scheme);
             prop_assert_eq!(report_bits(&serial_report), report_bits(&report));
         }

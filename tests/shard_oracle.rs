@@ -29,7 +29,7 @@ use antennae::core::algorithms::theorem2::orient_theorem2;
 use antennae::core::antenna::AntennaBudget;
 use antennae::core::bounds::theorem2_spread_threshold;
 use antennae::core::dynamic::{DynamicInstance, DynamicSolverSession, Edit};
-use antennae::core::verify::{verify_with_budget, DigraphStrategy, VerificationEngine};
+use antennae::core::verify::{report_from_digraph, verify_with_budget};
 use antennae::geometry::Aabb;
 use antennae::prelude::*;
 use antennae::sim::generators::{extremal_workloads, standard_workloads};
@@ -61,10 +61,10 @@ fn assert_matches_static(session: &mut DynamicSolverSession, label: &str) {
     let instance = session.materialized().expect("materialize").clone();
     let full = orient_theorem2(&instance, budget.k).expect("Theorem 2 budget");
     assert_eq!(scheme, full, "scheme vs a full orientation ({label})");
-    let dense = VerificationEngine::new()
-        .with_strategy(DigraphStrategy::Dense)
-        .induced_digraph(instance.points(), &scheme);
+    let dense = scheme.induced_digraph(instance.points());
     assert_eq!(digraph, dense, "digraph vs the dense build ({label})");
+    let reference = report_from_digraph(&instance, &scheme, Some(budget), &dense);
+    assert_eq!(report, reference, "report vs the dense reference ({label})");
     let fresh = verify_with_budget(&instance, &scheme, Some(budget));
     assert_eq!(report, fresh, "report vs a fresh verify ({label})");
 }

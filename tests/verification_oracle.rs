@@ -1,8 +1,9 @@
 //! Oracle property tests for the verification engine.
 //!
 //! The dense pairwise induced-digraph construction
-//! (`OrientationScheme::induced_digraph`) is the reference; the kd-tree fast
-//! path of `VerificationEngine` must reproduce it **bit-for-bit**: the same
+//! (`OrientationScheme::induced_digraph`, with the report assembled from it
+//! by `report_from_digraph`) is the reference; the kd-tree
+//! `VerificationEngine` must reproduce it **bit-for-bit**: the same
 //! `DiGraph` (same edges in the same adjacency order) and the same
 //! `VerificationReport` (every measurement and every `Violation`), across
 //! solver-produced schemes, adversarial random schemes, and degenerate point
@@ -16,33 +17,39 @@
 
 use antennae::core::antenna::{Antenna, AntennaBudget, SensorAssignment};
 use antennae::core::bounds::theorem2_spread_threshold;
+use antennae::core::verify::report_from_digraph;
+use antennae::graph::DiGraph;
 use antennae::prelude::*;
 use antennae::sim::generators::{extremal_workloads, standard_workloads};
 use proptest::prelude::*;
 use std::f64::consts::PI;
 
-fn dense() -> VerificationEngine {
-    VerificationEngine::new().with_strategy(DigraphStrategy::Dense)
+/// The dense pairwise reference: the induced digraph and its report.
+fn reference(
+    instance: &Instance,
+    scheme: &OrientationScheme,
+    budget: Option<AntennaBudget>,
+) -> (DiGraph, VerificationReport) {
+    let digraph = scheme.induced_digraph(instance.points());
+    let report = report_from_digraph(instance, scheme, budget, &digraph);
+    (digraph, report)
 }
 
-fn fast() -> VerificationEngine {
-    VerificationEngine::new().with_strategy(DigraphStrategy::KdTree)
-}
-
-/// Asserts the two digraph paths are bit-identical on `(instance, scheme)`,
-/// both as raw digraphs and as full verification reports.
+/// Asserts the engine is bit-identical to the reference on
+/// `(instance, scheme)`, both as raw digraphs and as full verification
+/// reports.
 fn assert_paths_identical(
     instance: &Instance,
     scheme: &OrientationScheme,
     budget: Option<AntennaBudget>,
     context: &str,
 ) {
-    let dense_graph = dense().induced_digraph(instance.points(), scheme);
-    let fast_graph = fast().induced_digraph(instance.points(), scheme);
+    let (dense_graph, dense_report) = reference(instance, scheme, budget);
+    let engine = VerificationEngine::new();
+    let fast_graph = engine.induced_digraph(instance.points(), scheme);
     assert_eq!(dense_graph, fast_graph, "digraph mismatch: {context}");
 
-    let dense_report = dense().verify_with_budget(instance, scheme, budget);
-    let fast_report = fast().verify_with_budget(instance, scheme, budget);
+    let fast_report = engine.verify_with_budget(instance, scheme, budget);
     assert_eq!(dense_report, fast_report, "report mismatch: {context}");
 }
 
@@ -167,33 +174,35 @@ fn oracle_on_exact_lattice_and_collinear_sets() {
 }
 
 #[test]
-fn oracle_holds_for_batch_and_session_entry_points() {
-    // The engine's batch/session paths must agree with the one-shot paths.
+fn oracle_holds_for_run_verified_and_repeated_verifies() {
+    // Every Portfolio candidate report of `run_verified` (concurrent
+    // verifications sharing the instance's one index), and every repeated
+    // verify of the same instance (the cached index), equals the reference.
     let generator = PointSetGenerator::UniformSquare { n: 150, side: 12.0 };
     let instance = Instance::new(generator.generate(5)).unwrap();
     let budget = AntennaBudget::new(2, PI);
-    let portfolio = Solver::on(&instance)
+    let verified = Solver::on(&instance)
         .with_budget(budget)
         .policy(SelectionPolicy::Portfolio)
-        .run()
+        .run_verified()
         .unwrap();
-    let schemes: Vec<&OrientationScheme> = portfolio
+    assert!(verified.outcome.candidates.len() > 1);
+    let engine = VerificationEngine::new();
+    for (candidate, report) in verified
+        .outcome
         .candidates
         .iter()
-        .map(|c| c.scheme.as_ref().unwrap())
-        .collect();
-
-    let session = fast().session(&instance);
-    let session_reports = session.verify_schemes(&schemes, Some(budget));
-    let pairs: Vec<(&Instance, &OrientationScheme)> =
-        schemes.iter().map(|s| (&instance, *s)).collect();
-    let batch_reports = fast().verify_batch(&pairs, Some(budget));
-    for ((scheme, session_report), batch_report) in
-        schemes.iter().zip(&session_reports).zip(&batch_reports)
+        .zip(&verified.candidate_reports)
     {
-        let oracle = dense().verify_with_budget(&instance, scheme, Some(budget));
-        assert_eq!(*session_report, oracle);
-        assert_eq!(*batch_report, oracle);
+        let scheme = candidate.scheme.as_ref().unwrap();
+        let (_, oracle) = reference(&instance, scheme, Some(budget));
+        assert_eq!(*report, oracle);
+        for _ in 0..2 {
+            assert_eq!(
+                engine.verify_with_budget(&instance, scheme, Some(budget)),
+                oracle
+            );
+        }
     }
 }
 
@@ -217,17 +226,17 @@ fn oracle_parallel_rebuild_matches_sequential_and_dense() {
         .unwrap()
         .scheme;
 
-    let parallel = fast().with_threads(4);
-    let sequential = fast().with_threads(1);
+    let parallel = VerificationEngine::new().with_threads(4);
+    let sequential = VerificationEngine::new().with_threads(1);
     let par_graph = parallel.induced_digraph(instance.points(), &scheme);
     let seq_graph = sequential.induced_digraph(instance.points(), &scheme);
     assert_eq!(par_graph, seq_graph, "parallel vs sequential kd rebuild");
-    let dense_graph = dense().induced_digraph(instance.points(), &scheme);
+    let (dense_graph, dense_report) = reference(&instance, &scheme, Some(budget));
     assert_eq!(par_graph, dense_graph, "parallel kd vs dense oracle");
 
     assert_eq!(
         parallel.verify_with_budget(&instance, &scheme, Some(budget)),
-        dense().verify_with_budget(&instance, &scheme, Some(budget)),
+        dense_report,
     );
 }
 
@@ -271,12 +280,12 @@ proptest! {
         let scheme = OrientationScheme::new(assignments);
         let budget = AntennaBudget::new(2, PI);
 
-        let dense_graph = dense().induced_digraph(instance.points(), &scheme);
-        let fast_graph = fast().induced_digraph(instance.points(), &scheme);
+        let (dense_graph, dense_report) = reference(&instance, &scheme, Some(budget));
+        let engine = VerificationEngine::new();
+        let fast_graph = engine.induced_digraph(instance.points(), &scheme);
         prop_assert_eq!(&dense_graph, &fast_graph);
 
-        let dense_report = dense().verify_with_budget(&instance, &scheme, Some(budget));
-        let fast_report = fast().verify_with_budget(&instance, &scheme, Some(budget));
+        let fast_report = engine.verify_with_budget(&instance, &scheme, Some(budget));
         prop_assert_eq!(dense_report, fast_report);
     }
 
@@ -291,8 +300,8 @@ proptest! {
         let phi = theorem2_spread_threshold(k) * phi_step as f64 / 3.0;
         let budget = AntennaBudget::new(k, phi);
         let scheme = Solver::on(&instance).with_budget(budget).run().unwrap().scheme;
-        let dense_report = dense().verify_with_budget(&instance, &scheme, Some(budget));
-        let fast_report = fast().verify_with_budget(&instance, &scheme, Some(budget));
+        let (_, dense_report) = reference(&instance, &scheme, Some(budget));
+        let fast_report = VerificationEngine::new().verify_with_budget(&instance, &scheme, Some(budget));
         prop_assert_eq!(&dense_report, &fast_report);
         // Solver-produced schemes are valid, so the oracle also doubles as
         // an end-to-end correctness check of the constructions themselves.
